@@ -4,6 +4,7 @@ Subpackages/modules:
 
 - ``treealg``: exact symbolic engine for the tree algebra of the equation's
   regularity structure (degrees, coproduct, structure group, renormalization).
+- ``grid``: the space and time grids shared by every numerical module.
 - ``kernels``: heat kernels on the line and on [0,1] (Neumann via images,
   Robin via a discrete semigroup) and the boundary renormalization constant.
 - ``shesolver``: Monte Carlo solver for the multiplicative stochastic heat

@@ -16,21 +16,59 @@ import csv
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
+
+from openkpz.grid import default_dt, grid_size, snap_time
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_CONFIG = 2
+
+# Per subcommand: option -> default.  Each option is an INI key of that name
+# and a flag --the-name of the default's type.  The master seed is shared.
+OPTIONS: Dict[str, Dict] = {
+    "kernel": {"kind": "neumann", "t": 0.1, "grid": 32, "images": 20, "u": 0.5, "v": 0.5},
+    "constant-a": {"time_radius": 1.0, "space_radius": 1.0, "cells": 256},
+    "simulate": {
+        "u": 0.0,
+        "v": 0.0,
+        "dx": 1.0 / 64,
+        "dt": 0.0,  # 0 means the stability default dx^2/2
+        "t_final": 1.0,
+        "paths": 100,
+        "save_times": "",
+    },
+    "sample-stationary": {
+        "u": 1.0,
+        "v": 1.0,
+        "dx": 1.0 / 64,
+        "n_samples": 1000,
+        "rho": 0.5,
+        "burn_in": 2000,
+        "thinning": 10,
+        "normalization_samples": 20000,
+    },
+    "experiment": {
+        "u": 0.5,
+        "v": -0.5,
+        "n_samples": 1000,
+        "t_final": 1.0,
+        "dx": 1.0 / 64,
+        "functional": "endpoint",
+    },
+}
+CHOICES = {"kind": ("neumann", "robin", "gauss")}
 
 
 class ConfigError(Exception):
     pass
 
 
-def _resolve(args: argparse.Namespace, section: str, defaults: Dict) -> Dict:
+def _resolve(args: argparse.Namespace, section: str) -> Dict:
     """defaults < config-file section < explicit flags; unknown keys rejected."""
+    defaults = {**OPTIONS[args.command], "seed": 0}
     resolved = dict(defaults)
     config_path = getattr(args, "config", None)
     if config_path:
@@ -43,13 +81,11 @@ def _resolve(args: argparse.Namespace, section: str, defaults: Dict) -> Dict:
                 key = key.replace("-", "_")
                 if key not in defaults:
                     raise ConfigError(f"unknown key {key!r} in section [{section}]")
-                resolved[key] = type(defaults[key])(raw) if defaults[key] is not None else raw
+                resolved[key] = type(defaults[key])(raw)
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
             resolved[key] = value
-    seed = getattr(args, "seed", None)
-    resolved["seed"] = seed if seed is not None else resolved.get("seed", 0)
     resolved["workers"] = getattr(args, "workers", None) or 1
     return resolved
 
@@ -64,14 +100,9 @@ def _write_json(path: Path, payload: Dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _csv_header_comment(resolved: Dict) -> List[str]:
-    return ["# config: " + json.dumps(resolved, sort_keys=True)]
-
-
 def _write_csv(path: Path, resolved: Dict, columns: Sequence[str], rows) -> None:
     with open(path, "w", newline="") as fh:
-        for line in _csv_header_comment(resolved):
-            fh.write(line + "\n")
+        fh.write("# config: " + json.dumps(resolved, sort_keys=True) + "\n")
         writer = csv.writer(fh)
         writer.writerow(columns)
         writer.writerows(rows)
@@ -116,16 +147,7 @@ def cmd_verify_algebra(args) -> int:
 def cmd_kernel(args) -> int:
     from openkpz import kernels
 
-    defaults = {
-        "kind": "neumann",
-        "t": 0.1,
-        "grid": 32,
-        "images": 20,
-        "u": 0.5,
-        "v": 0.5,
-        "seed": 0,
-    }
-    resolved = _resolve(args, "kernel", defaults)
+    resolved = _resolve(args, "kernel")
     kind = resolved["kind"]
     t = float(resolved["t"])
     n = int(resolved["grid"])
@@ -157,8 +179,7 @@ def cmd_kernel(args) -> int:
 def cmd_constant_a(args) -> int:
     from openkpz import kernels
 
-    defaults = {"time_radius": 1.0, "space_radius": 1.0, "cells": 256, "seed": 0}
-    resolved = _resolve(args, "constant-a", defaults)
+    resolved = _resolve(args, "constant-a")
     rho = kernels.Mollifier(float(resolved["time_radius"]), float(resolved["space_radius"]))
     value, error = kernels.constant_a(rho, n=int(resolved["cells"]))
     payload = {
@@ -180,27 +201,12 @@ def cmd_constant_a(args) -> int:
 def cmd_simulate(args) -> int:
     from openkpz import shesolver
 
-    defaults = {
-        "u": 0.0,
-        "v": 0.0,
-        "dx": 1.0 / 64,
-        "dt": 0.0,  # 0 means the stability default dx^2/2
-        "t_final": 1.0,
-        "paths": 100,
-        "save_times": "",
-        "seed": 0,
-    }
-    resolved = _resolve(args, "simulate", defaults)
+    resolved = _resolve(args, "simulate")
     dx = float(resolved["dx"])
-    dt = float(resolved["dt"]) or 0.5 * dx**2
-    if dt > 0.5 * dx**2 + 1e-15:
-        raise ConfigError(
-            f"dt={dt} violates the stability bound dt <= dx^2/2 = {0.5 * dx**2}"
-        )
-    snap = lambda t: max(1, round(t / dt)) * dt  # noqa: E731
-    t_final = snap(float(resolved["t_final"]))
+    dt = float(resolved["dt"]) or default_dt(dx)
+    t_final = snap_time(float(resolved["t_final"]), dt)
     saves = (
-        tuple(snap(float(s)) for s in str(resolved["save_times"]).split(",") if s.strip())
+        tuple(snap_time(float(s), dt) for s in str(resolved["save_times"]).split(",") if s.strip())
         or (t_final,)
     )
     cfg = shesolver.SimConfig(
@@ -230,18 +236,7 @@ def cmd_simulate(args) -> int:
 def cmd_sample_stationary(args) -> int:
     from openkpz import stationary
 
-    defaults = {
-        "u": 1.0,
-        "v": 1.0,
-        "dx": 1.0 / 64,
-        "n_samples": 1000,
-        "rho": 0.5,
-        "burn_in": 2000,
-        "thinning": 10,
-        "normalization_samples": 20000,
-        "seed": 0,
-    }
-    resolved = _resolve(args, "sample-stationary", defaults)
+    resolved = _resolve(args, "sample-stationary")
     u, v, dx = float(resolved["u"]), float(resolved["v"]), float(resolved["dx"])
     seed = int(resolved["seed"])
     if abs(u + v) < 1e-12:
@@ -280,16 +275,7 @@ def cmd_sample_stationary(args) -> int:
 def cmd_experiment(args) -> int:
     from openkpz import harness
 
-    defaults = {
-        "u": 0.5,
-        "v": -0.5,
-        "n_samples": 1000,
-        "t_final": 1.0,
-        "dx": 1.0 / 64,
-        "functional": "endpoint",
-        "seed": 0,
-    }
-    resolved = _resolve(args, f"experiment.{args.name}", defaults)
+    resolved = _resolve(args, f"experiment.{args.name}")
     u, v = float(resolved["u"]), float(resolved["v"])
     dx = float(resolved["dx"])
     seed = int(resolved["seed"])
@@ -302,14 +288,12 @@ def cmd_experiment(args) -> int:
         report = harness.ergodic_average(
             u, v, functional=str(resolved["functional"]), t_final=t_final, dx=dx, seed=seed
         )
-    elif args.name == "coupling":
-        n = round(1.0 / dx)
+    else:  # coupling
+        n = grid_size(dx)
         x = np.linspace(0.0, 1.0, n + 1)
         report = harness.coupling_experiment(
             u, v, np.zeros(n + 1), np.sin(np.pi * x), t_final=t_final, dx=dx, seed=seed
         )
-    else:
-        raise ConfigError(f"unknown experiment {args.name!r}")
     out = _out_dir(args)
     payload = report.to_dict()
     payload["config"] = resolved
@@ -344,46 +328,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("verify-algebra", parents=[common],
                    help="recompute and check the four golden tables")
-
-    p = sub.add_parser("kernel", parents=[common], help="emit kernel values as CSV")
-    p.add_argument("--kind", choices=("neumann", "robin", "gauss"))
-    p.add_argument("--t", type=float)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--images", type=int)
-    p.add_argument("--u", type=float)
-    p.add_argument("--v", type=float)
-
-    p = sub.add_parser("constant-a", parents=[common], help="quadrature of the boundary constant a")
-    p.add_argument("--time-radius", dest="time_radius", type=float)
-    p.add_argument("--space-radius", dest="space_radius", type=float)
-    p.add_argument("--cells", type=int)
-
-    p = sub.add_parser("simulate", parents=[common], help="Monte Carlo SHE ensemble statistics")
-    p.add_argument("--u", type=float)
-    p.add_argument("--v", type=float)
-    p.add_argument("--dx", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--t-final", dest="t_final", type=float)
-    p.add_argument("--paths", type=int)
-    p.add_argument("--save-times", dest="save_times")
-
-    p = sub.add_parser("sample-stationary", parents=[common], help="stationary-measure samples")
-    p.add_argument("--u", type=float)
-    p.add_argument("--v", type=float)
-    p.add_argument("--dx", type=float)
-    p.add_argument("--n-samples", dest="n_samples", type=int)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--burn-in", dest="burn_in", type=int)
-    p.add_argument("--thinning", type=int)
-
-    p = sub.add_parser("experiment", parents=[common], help="statistical experiment with JSON report")
-    p.add_argument("name", choices=("stationarity", "ergodic", "coupling"))
-    p.add_argument("--u", type=float)
-    p.add_argument("--v", type=float)
-    p.add_argument("--n-samples", dest="n_samples", type=int)
-    p.add_argument("--t-final", dest="t_final", type=float)
-    p.add_argument("--dx", type=float)
-    p.add_argument("--functional")
+    helps = {
+        "kernel": "emit kernel values as CSV",
+        "constant-a": "quadrature of the boundary constant a",
+        "simulate": "Monte Carlo SHE ensemble statistics",
+        "sample-stationary": "stationary-measure samples",
+        "experiment": "statistical experiment with JSON report",
+    }
+    for command, options in OPTIONS.items():
+        p = sub.add_parser(command, parents=[common], help=helps[command])
+        if command == "experiment":
+            p.add_argument("name", choices=("stationarity", "ergodic", "coupling"))
+        for key, default in options.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
+                           choices=CHOICES.get(key))
     return parser
 
 

@@ -7,12 +7,13 @@ so a report is reproducible bit-exactly from its own contents.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 from scipy import stats
 
+from openkpz.grid import default_dt, grid_size, snap_time, time_steps
 from openkpz.shesolver import (
     BoundaryParams,
     SimConfig,
@@ -111,14 +112,14 @@ def stationarity_experiment(
     h_ref = drawn[:n_samples] if reference is None else np.asarray(reference, dtype=float)
     h0 = drawn[n_samples:] if initial is None else np.asarray(initial, dtype=float)
 
-    t_final = max(1, round(t_final / (0.5 * dx**2))) * (0.5 * dx**2)
+    t_final = snap_time(t_final, default_dt(dx))
     cfg = SimConfig(
         dx=dx, t_final=t_final, n_paths=len(h0), seed=seed + 1, save_times=(t_final,)
     )
     result = simulate_she(np.exp(h0), BoundaryParams(u, v), cfg)
     h_t = anchor(hopf_cole(result.valid(t_final)))
 
-    n = round(1.0 / dx)
+    n = grid_size(dx)
     per_marginal = KS_ALPHA / len(MARGINAL_POINTS)
     p_values = {}
     ks_stats = {}
@@ -183,10 +184,10 @@ def ergodic_average(
     F = FUNCTIONALS[functional]
     h0 = _initial_ensemble(u, v, 1, dx, seed, mcmc)[0]
 
-    dt = 0.5 * dx**2
-    n_steps = round(t_final / dt)
-    save_every = sample_stride
-    save_times = tuple(k * dt for k in range(save_every, n_steps + 1, save_every))
+    dt = default_dt(dx)
+    save_times = tuple(
+        k * dt for k in range(sample_stride, time_steps(t_final, dt) + 1, sample_stride)
+    )
     cfg = SimConfig(dx=dx, t_final=t_final, n_paths=1, seed=seed + 1, save_times=save_times)
     result = simulate_she(np.exp(h0), BoundaryParams(u, v), cfg)
     if result.positivity_lost[0]:
@@ -242,8 +243,8 @@ def coupling_experiment(
     """
     h0_a = np.asarray(h0_a, dtype=float)
     h0_b = np.asarray(h0_b, dtype=float)
-    dt = 0.5 * dx**2
-    steps = round(t_final / dt)
+    dt = default_dt(dx)
+    steps = time_steps(t_final, dt)
     ks = sorted({max(1, round(steps * i / n_checkpoints)) for i in range(1, n_checkpoints + 1)})
     save_times = tuple(k * dt for k in ks)
     cfg = SimConfig(dx=dx, t_final=t_final, n_paths=1, seed=seed, save_times=save_times)

@@ -16,23 +16,10 @@ from typing import Tuple
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import solve_banded
 from scipy.sparse.linalg import splu
 from scipy.special import erf
 
-
-@dataclass(frozen=True)
-class KernelConvention:
-    """Diffusion coefficient of the generator c * d^2/dx^2."""
-
-    diffusion_coefficient: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.diffusion_coefficient <= 0:
-            raise ValueError("diffusion coefficient must be positive")
-
-
-CONVENTION = KernelConvention()
+from openkpz.grid import time_steps
 
 
 def gauss_kernel(t, x):
@@ -134,14 +121,13 @@ class RannacherPropagator:
     def __init__(self, L: sparse.spmatrix, dt: float, startup_steps: int = 2):
         self.cn = CrankNicolson(L, dt)
         self.startup_steps = startup_steps
-        n = L.shape[0]
-        eye = sparse.identity(n, format="csc")
-        self._implicit_half = splu((eye - 0.5 * dt * L).tocsc())
 
     def advance(self, z: np.ndarray, n_steps: int) -> np.ndarray:
         startup = min(self.startup_steps, n_steps)
+        # an implicit-Euler half-step solves with the CN matrix I - dt/2 L
+        half_step = self.cn._solver.solve
         for _ in range(startup):
-            z = self._implicit_half.solve(self._implicit_half.solve(z))
+            z = half_step(half_step(z))
         return self.cn.advance(z, n_steps - startup)
 
 
@@ -157,9 +143,7 @@ def robin_kernel(
         raise ValueError("robin_kernel requires t > 0")
     if dt is None:
         dt = t / max(64, int(round(t * 8 * n)))
-    n_steps = int(round(t / dt))
-    if abs(n_steps * dt - t) > 1e-12 * max(1.0, t) or n_steps < 1:
-        raise ValueError("t must be an integer multiple of dt")
+    n_steps = time_steps(t, dt)
     weights = np.full(n + 1, 1.0 / n)
     weights[0] *= 0.5
     weights[-1] *= 0.5

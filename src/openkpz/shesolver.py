@@ -13,44 +13,15 @@ regardless of how many workers aggregate them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 import numpy as np
 
+from openkpz.grid import default_dt, grid_size, time_steps
 from openkpz.kernels import CrankNicolson, robin_laplacian
 
 RNG_CHUNK = 512  # paths per independent noise stream
-
-
-@dataclass
-class GridField:
-    """Values on the uniform grid x_j = j dx, j = 0..n, at one time."""
-
-    values: np.ndarray
-    dx: float
-    time_stamp: float = 0.0
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-        n = round(1.0 / self.dx)
-        if abs(n * self.dx - 1.0) > 1e-12:
-            raise ValueError("dx must divide 1 exactly")
-        if self.values.shape[-1] != n + 1:
-            raise ValueError(
-                f"expected {n + 1} grid values for dx={self.dx}, "
-                f"got {self.values.shape[-1]}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("grid values must be finite")
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[-1] - 1
-
-    @property
-    def x(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.values.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -59,7 +30,6 @@ class BoundaryParams:
 
     u: float
     v: float
-    a: float = 0.0  # boundary constant from kernels.constant_a; mollifier-dependent
 
     @property
     def robin_left(self) -> float:
@@ -68,13 +38,6 @@ class BoundaryParams:
     @property
     def robin_right(self) -> float:
         return self.v - 0.5
-
-    def a1(self, x):
-        return 2.0 * (-2.0 * (self.v + self.a) * np.asarray(x) + self.u + self.a)
-
-    def a2(self, x):
-        lin = -2.0 * (self.v + self.a) * np.asarray(x) + self.u + self.a
-        return 0.5 * (lin**2 - self.v - self.a)
 
     @property
     def c_uv(self) -> float:
@@ -95,37 +58,29 @@ class SimConfig:
     save_times: Tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        bound = default_dt(self.dx)
         if self.dt is None:
-            object.__setattr__(self, "dt", 0.5 * self.dx**2)
-        if self.dt > 0.5 * self.dx**2 + 1e-15:
+            object.__setattr__(self, "dt", bound)
+        if self.dt > bound + 1e-15:
             raise ValueError(
-                f"dt={self.dt} violates the stability budget dt <= dx^2/2"
+                f"dt={self.dt} violates the stability bound dt <= dx^2/2 = {bound}"
             )
         if self.t_final <= 0 or self.n_paths < 1:
             raise ValueError("t_final must be positive and n_paths >= 1")
 
     @property
     def n(self) -> int:
-        n = round(1.0 / self.dx)
-        if abs(n * self.dx - 1.0) > 1e-12:
-            raise ValueError("dx must divide 1 exactly")
-        return n
+        return grid_size(self.dx)
 
     @property
     def n_steps(self) -> int:
-        steps = round(self.t_final / self.dt)
-        if abs(steps * self.dt - self.t_final) > 1e-9:
-            raise ValueError("t_final must be an integer multiple of dt")
-        return steps
+        return time_steps(self.t_final, self.dt)
 
     def save_step_indices(self) -> Dict[int, float]:
-        times = self.save_times or (self.t_final,)
-        out = {}
-        for t in times:
-            k = round(t / self.dt)
-            if abs(k * self.dt - t) > 1e-9 or not 0 <= k <= self.n_steps:
-                raise ValueError(f"save time {t} is not on the time grid")
-            out[k] = t
+        out = {time_steps(t, self.dt): t for t in self.save_times or (self.t_final,)}
+        for k, t in out.items():
+            if not 0 <= k <= self.n_steps:
+                raise ValueError(f"save time {t} lies outside [0, t_final]")
         return out
 
 
@@ -151,8 +106,19 @@ def _noise_stream(seed: int, chunk: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, chunk]))
 
 
+def _initial_paths(z0: np.ndarray, shape: Tuple[int, int]) -> np.ndarray:
+    z0 = np.asarray(z0, dtype=float)
+    if z0.ndim == 1:
+        z0 = np.broadcast_to(z0, shape)
+    if z0.shape != shape:
+        raise ValueError(f"initial data must have shape {shape}")
+    if np.any(z0 <= 0):
+        raise ValueError("initial data must be strictly positive")
+    return z0
+
+
 def simulate_she(
-    z0: GridField | np.ndarray,
+    z0: np.ndarray,
     params: BoundaryParams,
     cfg: SimConfig,
     paired_z0: np.ndarray | None = None,
@@ -161,110 +127,58 @@ def simulate_she(
 
     If ``paired_z0`` is given, a second solution is evolved from it with the
     identical noise realization (one-force coupling) and both results are
-    returned.
+    returned.  The two solutions run as one stacked ensemble that sees each
+    noise draw twice, so the first result equals the uncoupled run.
     """
-    if isinstance(z0, GridField):
-        z0 = z0.values
-    z0 = np.asarray(z0, dtype=float)
     n = cfg.n
-    if z0.ndim == 1:
-        z0 = np.broadcast_to(z0, (cfg.n_paths, n + 1))
-    if z0.shape != (cfg.n_paths, n + 1):
-        raise ValueError(f"initial data must have shape ({cfg.n_paths}, {n + 1})")
-    if np.any(z0 <= 0):
-        raise ValueError("initial data must be strictly positive")
-    coupled = paired_z0 is not None
-    if coupled:
-        paired_z0 = np.asarray(paired_z0, dtype=float)
-        if paired_z0.shape != z0.shape or np.any(paired_z0 <= 0):
-            raise ValueError("paired initial data must match shape and be positive")
+    starts = [z0] if paired_z0 is None else [z0, paired_z0]
+    copies = len(starts)
+    z_all = np.stack([_initial_paths(z, (cfg.n_paths, n + 1)) for z in starts])
 
     cn = CrankNicolson(robin_laplacian(n, params.u, params.v), cfg.dt)
     noise_scale = np.sqrt(cfg.dt / cfg.dx)
     saves = cfg.save_step_indices()
+    snaps = {t: np.empty_like(z_all) for t in saves.values()}
+    lost = np.zeros(z_all.shape[:2], dtype=bool)
 
-    def run_chunk(chunk_idx: int, z_chunk: np.ndarray, z_pair):
-        rng = _noise_stream(cfg.seed, chunk_idx)
-        lost = np.zeros(z_chunk.shape[0], dtype=bool)
-        lost_pair = np.zeros(z_chunk.shape[0], dtype=bool)
-        snaps: Dict[float, np.ndarray] = {}
-        snaps_pair: Dict[float, np.ndarray] = {}
-        if 0 in saves:
-            snaps[saves[0]] = z_chunk.copy()
-            if z_pair is not None:
-                snaps_pair[saves[0]] = z_pair.copy()
-        for k in range(1, cfg.n_steps + 1):
-            if cfg.noise:
-                eta = rng.standard_normal(z_chunk.shape)
-                forcing = (z_chunk * eta * noise_scale).T
-                z_chunk = cn.step_with_forcing(z_chunk.T, forcing).T
-            else:
-                eta = None
-                z_chunk = cn.step(z_chunk.T).T
-            lost |= np.any(z_chunk <= 0, axis=1)
-            if z_pair is not None:
-                if eta is not None:
-                    forcing_pair = (z_pair * eta * noise_scale).T
-                    z_pair = cn.step_with_forcing(z_pair.T, forcing_pair).T
-                else:
-                    z_pair = cn.step(z_pair.T).T
-                lost_pair |= np.any(z_pair <= 0, axis=1)
-            if k in saves:
-                snaps[saves[k]] = z_chunk.copy()
-                if z_pair is not None:
-                    snaps_pair[saves[k]] = z_pair.copy()
-        return snaps, lost, snaps_pair, lost_pair
-
-    all_snaps: Dict[float, List[np.ndarray]] = {t: [] for t in saves.values()}
-    all_snaps_pair: Dict[float, List[np.ndarray]] = {t: [] for t in saves.values()}
-    lost_parts, lost_pair_parts = [], []
     for chunk_idx, start in enumerate(range(0, cfg.n_paths, RNG_CHUNK)):
         stop = min(start + RNG_CHUNK, cfg.n_paths)
-        pair = paired_z0[start:stop].copy() if coupled else None
-        snaps, lost, snaps_pair, lost_pair = run_chunk(
-            chunk_idx, z0[start:stop].copy(), pair
-        )
-        for t, arr in snaps.items():
-            all_snaps[t].append(arr)
-        for t, arr in snaps_pair.items():
-            all_snaps_pair[t].append(arr)
-        lost_parts.append(lost)
-        lost_pair_parts.append(lost_pair)
+        rng = _noise_stream(cfg.seed, chunk_idx)
+        z = z_all[:, start:stop].reshape(-1, n + 1)
+        chunk_lost = np.zeros(len(z), dtype=bool)
+        noise = np.empty((copies, stop - start, n + 1))
+        eta = noise.reshape(z.shape)  # every copy sees the same draw
+        for k in range(cfg.n_steps + 1):
+            if k > 0 and cfg.noise:
+                rng.standard_normal(out=noise[0])
+                noise[1:] = noise[0]
+                z = cn.step_with_forcing(z.T, (z * eta * noise_scale).T).T
+            elif k > 0:
+                z = cn.step(z.T).T
+            chunk_lost |= np.any(z <= 0, axis=1)
+            if k in saves:
+                snaps[saves[k]][:, start:stop] = z.reshape(copies, -1, n + 1)
+        lost[:, start:stop] = chunk_lost.reshape(copies, -1)
 
-    result = SheResult(
-        snapshots={t: np.concatenate(parts) for t, parts in all_snaps.items()},
-        positivity_lost=np.concatenate(lost_parts),
-        config=cfg,
-        params=params,
+    results = tuple(
+        SheResult({t: s[c] for t, s in snaps.items()}, lost[c], cfg, params)
+        for c in range(copies)
     )
-    if not coupled:
-        return result
-    result_pair = SheResult(
-        snapshots={t: np.concatenate(parts) for t, parts in all_snaps_pair.items()},
-        positivity_lost=np.concatenate(lost_pair_parts),
-        config=cfg,
-        params=params,
-    )
-    return result, result_pair
+    return results[0] if paired_z0 is None else results
 
 
 def robin_semigroup_apply(
     z0: np.ndarray, params: BoundaryParams, dx: float, t: float, dt: float | None = None
 ) -> np.ndarray:
     """Deterministic oracle: the noise-free scheme applied to z0."""
-    n = round(1.0 / dx)
-    if dt is None:
-        dt = 0.5 * dx**2
-    steps = round(t / dt)
-    if abs(steps * dt - t) > 1e-9:
-        raise ValueError("t must be an integer multiple of dt")
-    cn = CrankNicolson(robin_laplacian(n, params.u, params.v), dt)
-    return cn.advance(np.asarray(z0, dtype=float), steps)
+    dt = default_dt(dx) if dt is None else dt
+    cn = CrankNicolson(robin_laplacian(grid_size(dx), params.u, params.v), dt)
+    return cn.advance(np.asarray(z0, dtype=float), time_steps(t, dt))
 
 
-def hopf_cole(z: GridField | np.ndarray) -> np.ndarray:
+def hopf_cole(z: np.ndarray) -> np.ndarray:
     """h = log Z pointwise; errors name the first nonpositive grid index."""
-    values = z.values if isinstance(z, GridField) else np.asarray(z, dtype=float)
+    values = np.asarray(z, dtype=float)
     if np.any(values <= 0):
         idx = np.argwhere(values <= 0)[0]
         raise ValueError(f"nonpositive value at grid index {tuple(idx)}")

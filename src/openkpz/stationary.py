@@ -18,9 +18,11 @@ reference paths serves as a cross-check oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
+
+from openkpz.grid import grid_size
 
 
 class RegimeError(ValueError):
@@ -38,19 +40,12 @@ def check_regime(u: float, v: float, override: bool = False) -> None:
     )
 
 
-def _grid(dx: float) -> int:
-    n = round(1.0 / dx)
-    if abs(n * dx - 1.0) > 1e-12:
-        raise ValueError("dx must divide 1 exactly")
-    return n
-
-
 def sample_bm_drift(u: float, dx: float, n_samples: int, seed: int) -> np.ndarray:
     """Standard Brownian motion with drift u on the grid, h(0) = 0.
 
     Together with v = -u this is the anchored stationary field.
     """
-    n = _grid(dx)
+    n = grid_size(dx)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     increments = rng.normal(u * dx, np.sqrt(dx), size=(n_samples, n))
     h = np.zeros((n_samples, n + 1))
@@ -60,7 +55,7 @@ def sample_bm_drift(u: float, dx: float, n_samples: int, seed: int) -> np.ndarra
 
 def brownian_half(dx: float, n_samples: int, rng: np.random.Generator) -> np.ndarray:
     """Brownian motion of variance 1/2 on the grid, path(0) = 0."""
-    n = _grid(dx)
+    n = grid_size(dx)
     increments = rng.normal(0.0, np.sqrt(dx / 2.0), size=(n_samples, n))
     out = np.zeros((n_samples, n + 1))
     np.cumsum(increments, axis=1, out=out[:, 1:])

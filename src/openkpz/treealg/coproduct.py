@@ -10,12 +10,11 @@ always primitive on the left, ``Delta I'(t) = (I' x id) Delta t``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import sympy
 
 from openkpz.treealg.basis import (
-    BASIS_NAMES,
     IP_PSI,
     IP_PSI_IP_PSI2,
     PSI,

@@ -13,7 +13,7 @@ import importlib.resources
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from openkpz.treealg.basis import basis_tree, basis_W, parse_tree
+from openkpz.treealg.basis import basis_W, parse_tree
 from openkpz.treealg.combination import TensorElement, TreeCombination, _as_coeff
 from openkpz.treealg.coproduct import coproduct, gamma_f, generic_character
 from openkpz.treealg.degree import ExactDegree, degree_from_string

@@ -86,6 +86,13 @@ class TestSampleStationary:
         assert 0.0 < meta["acceptance_rate"] <= 1.0
         assert "normalization" in meta
 
+    def test_every_option_has_a_flag(self, tmp_path):
+        assert run(["--out-dir", tmp_path, "sample-stationary", "--dx", 0.0625,
+                    "--n-samples", 20, "--burn-in", 20, "--thinning", 1,
+                    "--normalization-samples", 300]) == 0
+        meta = json.loads((tmp_path / "stationary_meta.json").read_text())
+        assert meta["config"]["normalization_samples"] == 300
+
     def test_exact_sampler_for_zero_sum(self, tmp_path):
         assert run(["--out-dir", tmp_path, "sample-stationary", "--u", 0.5,
                     "--v", -0.5, "--dx", 0.0625, "--n-samples", 20]) == 0

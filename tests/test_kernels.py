@@ -133,3 +133,15 @@ class TestPropagators:
         rough = kernels.RannacherPropagator(L, dt).advance(delta, 1000)
         assert np.all(np.isfinite(rough))
         assert np.max(np.abs(np.diff(rough))) < 1.0  # no high-mode ringing
+
+    def test_rannacher_factors_once(self, monkeypatch):
+        calls = []
+        splu = kernels.splu
+
+        def counting_splu(matrix):
+            calls.append(matrix.shape)
+            return splu(matrix)
+
+        monkeypatch.setattr(kernels, "splu", counting_splu)
+        kernels.RannacherPropagator(kernels.robin_laplacian(16, 1.0, 0.0), 1e-3)
+        assert len(calls) == 1

@@ -25,6 +25,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             cfg.save_step_indices()
 
+    def test_horizon_shorter_than_one_step_rejected(self):
+        cfg = SimConfig(dx=1.0 / 16, t_final=1e-10)
+        with pytest.raises(ValueError):
+            cfg.n_steps
+
 
 class TestBoundaryParams:
     def test_robin_slopes(self):
@@ -55,6 +60,14 @@ class TestDeterministicLimit:
         oracle = shesolver.robin_semigroup_apply(z0, params, cfg.dx, 0.25)
         assert np.max(np.abs(res.snapshots[0.25][0] - oracle)) < 1e-12
 
+    def test_oracle_rejects_dx_that_does_not_divide_one(self):
+        # 1/0.03 is not an integer: the grid of 34 values and dt = dx^2/2
+        # would describe two different discretisations
+        with pytest.raises(ValueError, match="dx must divide 1"):
+            shesolver.robin_semigroup_apply(
+                np.ones(34), BoundaryParams(1.0, 0.0), 0.03, 10 * 0.5 * 0.03**2
+            )
+
 
 class TestNoise:
     def test_full_run_deterministic_in_seed(self):
@@ -84,6 +97,20 @@ class TestNoise:
         d = np.abs(np.log(res_a.snapshots[0.0625]) - np.log(res_b.snapshots[0.0625]))
         # shared noise keeps the pair far closer than independent paths would be
         assert d.max() < 0.2
+
+    def test_coupled_pair_equals_separate_runs(self):
+        # 600 paths span two RNG chunks; the stacked pair must reproduce
+        # each uncoupled run bit for bit
+        cfg = SimConfig(dx=1.0 / 16, t_final=4 * 0.5 / 16**2, n_paths=600, seed=11)
+        params = BoundaryParams(1.0, 0.0)
+        x = np.linspace(0, 1, cfg.n + 1)
+        z0a = np.ones(cfg.n + 1)
+        z0b = np.tile(1.0 + 0.5 * np.cos(np.pi * x), (cfg.n_paths, 1))
+        res_a, res_b = simulate_she(z0a, params, cfg, paired_z0=z0b)
+        for pair, z0 in ((res_a, z0a), (res_b, z0b)):
+            alone = simulate_she(z0, params, cfg)
+            assert np.array_equal(pair.snapshots[cfg.t_final], alone.snapshots[cfg.t_final])
+            assert np.array_equal(pair.positivity_lost, alone.positivity_lost)
 
 
 class TestHopfCole:
