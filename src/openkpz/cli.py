@@ -3,8 +3,8 @@ sample-stationary | experiment.
 
 Configuration comes from an INI file (section per subcommand) overridden by
 explicit flags; every artifact embeds the fully resolved configuration and
-seed and contains no timestamps, so a rerun with the same seed and workers=1
-is byte-identical.  Exit codes: 0 success, 1 verification mismatch, 2
+seed and contains no timestamps, so a rerun with the same seed is
+byte-identical.  Exit codes: 0 success, 1 verification mismatch, 2
 configuration error.
 """
 
@@ -86,7 +86,6 @@ def _resolve(args: argparse.Namespace, section: str) -> Dict:
         value = getattr(args, key, None)
         if value is not None:
             resolved[key] = value
-    resolved["workers"] = getattr(args, "workers", None) or 1
     return resolved
 
 
@@ -316,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--config", help="INI config file (section per subcommand)")
     common.add_argument("--seed", type=int, help="master seed (overrides config)")
-    common.add_argument("--workers", type=int, help="worker count (1 = bit-reproducible)")
     common.add_argument("--out-dir", help="artifact output directory")
 
     parser = argparse.ArgumentParser(

@@ -182,10 +182,6 @@ class Mollifier:
             / (self.time_radius * self.space_radius)
         )
 
-    def mass(self, n: int = 2048) -> float:
-        """Midpoint quadrature of the total mass (should be 1)."""
-        return _midpoint_mass(self, n)
-
 
 def _midpoint_mass(rho: Mollifier, n: int) -> float:
     s, ws = _midpoint_grid(rho.time_radius, n)

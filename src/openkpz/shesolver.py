@@ -7,8 +7,7 @@ Z_j eta_j sqrt(dt/dx) per cell and step with independent standard Gaussians
 are flagged and excluded from statistics, never clamped.
 
 Determinism: noise streams are derived from (seed, chunk index) with a
-fixed chunk size of paths, so results are bit-identical for a given seed
-regardless of how many workers aggregate them.
+fixed chunk size of paths, so results are bit-identical for a given seed.
 """
 
 from __future__ import annotations

@@ -29,14 +29,12 @@ class RegimeError(ValueError):
     """(u, v) outside the proven stationarity regime."""
 
 
-def check_regime(u: float, v: float, override: bool = False) -> None:
+def check_regime(u: float, v: float) -> None:
     if u + v > 0 and min(u, v) > -1:
-        return
-    if override:
         return
     raise RegimeError(
         f"(u, v) = ({u}, {v}) is outside the proven regime "
-        "u + v > 0, min(u, v) > -1; pass override=True for exploratory runs"
+        "u + v > 0, min(u, v) > -1"
     )
 
 
@@ -132,7 +130,6 @@ def sample_stationary_mcmc(
     v: float,
     cfg: McmcConfig,
     dx: float,
-    override: bool = False,
     zero_exponents: bool = False,
 ) -> McmcResult:
     """pCN Metropolis chain for beta, output samples h = W + beta.
@@ -140,7 +137,7 @@ def sample_stationary_mcmc(
     ``zero_exponents`` turns the weight off (target = reference), the
     calibration mode used to validate the chain against the exact Gaussian.
     """
-    check_regime(u, v, override=override)
+    check_regime(u, v)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
     root = np.sqrt(1.0 - cfg.rho**2)
 
@@ -186,17 +183,12 @@ def estimate_normalization(
     dx: float,
     n_samples: int,
     seed: int,
-    override: bool = False,
-    zero_exponents: bool = False,
 ) -> Tuple[float, float]:
     """Monte Carlo normalization constant: mean of exp(log weight) over iid paths."""
-    check_regime(u, v, override=override)
+    check_regime(u, v)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     beta = brownian_half(dx, n_samples, rng)
-    if zero_exponents:
-        weights = np.ones(n_samples)
-    else:
-        weights = np.exp(rn_log_weight(beta, u, v, dx))
+    weights = np.exp(rn_log_weight(beta, u, v, dx))
     return float(weights.mean()), float(weights.std(ddof=1) / np.sqrt(n_samples))
 
 
@@ -207,7 +199,6 @@ def importance_sampling_moments(
     n_samples: int,
     seed: int,
     x_indices: Sequence[int],
-    override: bool = False,
 ) -> dict:
     """Independent oracle for stationary marginals at the given grid indices.
 
@@ -215,7 +206,7 @@ def importance_sampling_moments(
     beta with independent W.  Returns means, variances, their standard
     errors, and the effective sample size.
     """
-    check_regime(u, v, override=override)
+    check_regime(u, v)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     beta = brownian_half(dx, n_samples, rng)
     w_paths = brownian_half(dx, n_samples, rng)

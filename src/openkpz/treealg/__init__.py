@@ -17,14 +17,12 @@ from openkpz.treealg.trees import (
     Xi,
     GrammarError,
     deriv_tree,
-    integ,
     prod,
     tree_degree,
 )
 from openkpz.treealg.combination import TreeCombination, TensorElement
 from openkpz.treealg.basis import (
     BASIS_NAMES,
-    EXTENDED_NAMES,
     basis_W,
     basis_tree,
     format_tree,
@@ -37,7 +35,6 @@ from openkpz.treealg.coproduct import (
     check_structure_group,
     compose_gamma,
     coproduct,
-    counit_left,
     gamma_f,
     generic_character,
     zero_character,
@@ -65,13 +62,11 @@ __all__ = [
     "X1",
     "GrammarError",
     "prod",
-    "integ",
     "deriv_tree",
     "tree_degree",
     "TreeCombination",
     "TensorElement",
     "BASIS_NAMES",
-    "EXTENDED_NAMES",
     "basis_W",
     "basis_tree",
     "parse_tree",
@@ -82,7 +77,6 @@ __all__ = [
     "generic_character",
     "zero_character",
     "gamma_f",
-    "counit_left",
     "check_structure_group",
     "StructureGroupReport",
     "compose_gamma",

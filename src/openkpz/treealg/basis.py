@@ -23,53 +23,50 @@ from openkpz.treealg.trees import (
     Product,
     Tree,
     Xi,
-    integ,
     prod,
     tree_degree,
 )
 
-PSI = integ(XI, prime=True)                    # <1d>
+PSI = Integ(XI, prime=True)                    # <1d>
 PSI2 = prod(PSI, PSI)                          # <2d>
-IP_PSI = integ(PSI, prime=True)                # <1d1d>
-IP_PSI2 = integ(PSI2, prime=True)              # <2d1d>
+IP_PSI = Integ(PSI, prime=True)                # <1d1d>
+IP_PSI2 = Integ(PSI2, prime=True)              # <2d1d>
 PSI_IP_PSI2 = prod(PSI, IP_PSI2)               # <2d2d>
-IP_PSI_IP_PSI2 = integ(PSI_IP_PSI2, prime=True)  # <2d2d1d>
+IP_PSI_IP_PSI2 = Integ(PSI_IP_PSI2, prime=True)  # <2d2d1d>
 
 _BASIS: Dict[str, Tree] = {
     "Xi": XI,
     "1": ONE,
     "X1": X1,
-    "<1>": integ(XI),
+    "<1>": Integ(XI),
     "<1d>": PSI,
-    "<1d1>": integ(PSI),
+    "<1d1>": Integ(PSI),
     "<1d2d>": prod(PSI, IP_PSI),
     "<2d>": PSI2,
-    "<2d1>": integ(PSI2),
+    "<2d1>": Integ(PSI2),
     "<2d1d>": IP_PSI2,
     "<2d2d>": PSI_IP_PSI2,
-    "<2d2d1>": integ(PSI_IP_PSI2),
+    "<2d2d1>": Integ(PSI_IP_PSI2),
     "<tree1>": prod(PSI, IP_PSI_IP_PSI2),
     "<tree2>": prod(IP_PSI2, IP_PSI2),
 }
 
-_EXTENDED: Dict[str, Tree] = {
+_NAMED: Dict[str, Tree] = {
+    **_BASIS,
     "<1d1d>": IP_PSI,
     "<2d2d1d>": IP_PSI_IP_PSI2,
 }
 
 BASIS_NAMES: List[str] = list(_BASIS)
-EXTENDED_NAMES: List[str] = list(_EXTENDED)
 
-_NAME_BY_TREE: Dict[Tree, str] = {t: n for n, t in {**_BASIS, **_EXTENDED}.items()}
+_NAME_BY_TREE: Dict[Tree, str] = {t: n for n, t in _NAMED.items()}
 
 
 def basis_tree(name: str) -> Tree:
     """Canonical tree for a diagram name (basis or extended)."""
-    if name in _BASIS:
-        return _BASIS[name]
-    if name in _EXTENDED:
-        return _EXTENDED[name]
-    raise KeyError(f"unknown diagram name {name!r}")
+    if name not in _NAMED:
+        raise KeyError(f"unknown diagram name {name!r}")
+    return _NAMED[name]
 
 
 def basis_W() -> List[Tuple[str, Tree, ExactDegree]]:
@@ -128,7 +125,7 @@ def parse_tree(text: str) -> Tree:
             if peek() != ")":
                 raise ValueError(f"expected ')' in {text!r}")
             pos += 1
-            return integ(child, prime=(tok == "I'"))
+            return Integ(child, prime=(tok == "I'"))
         raise ValueError(f"unexpected token {tok!r} in {text!r}")
 
     out = parse_product()
@@ -142,14 +139,8 @@ def format_tree(tree: Tree, use_names: bool = True) -> str:
         name = tree_name(tree)
         if name is not None:
             return name
-    if isinstance(tree, Xi):
-        return "Xi"
-    if isinstance(tree, Monomial):
-        if tree.is_unit:
-            return "1"
-        if tree.l0 == 0 and tree.l1 == 1:
-            return "X1"
-        return f"X^({tree.l0},{tree.l1})"
+    if isinstance(tree, (Xi, Monomial)):
+        return repr(tree)
     if isinstance(tree, Integ):
         head = "I'" if tree.prime else "I"
         return f"{head}({format_tree(tree.child, use_names)})"

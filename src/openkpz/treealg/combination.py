@@ -7,7 +7,8 @@ equality of the underlying dicts is exact equality of combinations.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Tuple
+from itertools import chain
+from typing import Dict, Hashable, Iterable, Mapping, Tuple
 
 import sympy
 
@@ -39,181 +40,148 @@ def _as_coeff(value) -> Coeff:
     return sympy.sympify(value, locals=SYMBOLS, rational=True)
 
 
-def _is_zero(expr: Coeff) -> bool:
-    return sympy.expand(expr) == 0
+class _Combination:
+    """Formal linear combination over hashable keys with exact coefficients.
 
-
-class TreeCombination:
-    """Formal linear combination of canonical trees with exact coefficients."""
+    Subclasses supply the key product ``_key_mul``, the sort key ``_key_sort``
+    and the key repr ``_key_repr``.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Tree, Coeff] | None = None):
-        self.terms: Dict[Tree, Coeff] = {}
-        if terms:
-            for tree, coeff in terms.items():
-                coeff = sympy.expand(_as_coeff(coeff))
-                if coeff != 0:
-                    self.terms[tree] = coeff
+    def __init__(
+        self,
+        terms: Mapping[Hashable, Coeff] | Iterable[Tuple[Hashable, Coeff]] = (),
+    ):
+        """Build from a mapping or from (key, coeff) pairs; repeated keys add up."""
+        pairs = terms.items() if isinstance(terms, Mapping) else terms
+        summed: Dict[Hashable, Coeff] = {}
+        for key, coeff in pairs:
+            coeff = _as_coeff(coeff)
+            summed[key] = summed[key] + coeff if key in summed else coeff
+        self.terms: Dict[Hashable, Coeff] = {}
+        for key, coeff in summed.items():
+            coeff = sympy.expand(coeff)
+            if coeff != 0:
+                self.terms[key] = coeff
 
-    @classmethod
-    def single(cls, tree: Tree, coeff=1) -> "TreeCombination":
-        return cls({tree: coeff})
-
-    @classmethod
-    def zero(cls) -> "TreeCombination":
-        return cls()
-
-    def items(self) -> Iterable[Tuple[Tree, Coeff]]:
+    def items(self) -> Iterable[Tuple[Hashable, Coeff]]:
         return self.terms.items()
 
-    def coeff(self, tree: Tree) -> Coeff:
-        return self.terms.get(tree, sympy.Integer(0))
+    def __add__(self, other):
+        return type(self)(chain(self.items(), other.items()))
 
-    def __add__(self, other: "TreeCombination") -> "TreeCombination":
-        merged = dict(self.terms)
-        for tree, coeff in other.terms.items():
-            merged[tree] = merged.get(tree, sympy.Integer(0)) + coeff
-        return TreeCombination(merged)
+    def __sub__(self, other):
+        return type(self)(chain(self.items(), ((k, -c) for k, c in other.items())))
 
-    def __sub__(self, other: "TreeCombination") -> "TreeCombination":
-        return self + other.scale(-1)
-
-    def scale(self, scalar) -> "TreeCombination":
+    def scale(self, scalar):
         scalar = _as_coeff(scalar)
-        return TreeCombination({t: scalar * c for t, c in self.terms.items()})
+        return type(self)((k, scalar * c) for k, c in self.items())
 
-    def mul(self, other: "TreeCombination") -> "TreeCombination":
-        """Bilinear extension of the commutative tree product."""
-        out: Dict[Tree, Coeff] = {}
-        for t1, c1 in self.terms.items():
-            for t2, c2 in other.terms.items():
-                t = prod(t1, t2)
-                out[t] = out.get(t, sympy.Integer(0)) + c1 * c2
-        return TreeCombination(out)
-
-    def integrate(self, prime: bool = False) -> "TreeCombination":
-        """Linear extension of I/I'; monomial terms are annihilated."""
-        out: Dict[Tree, Coeff] = {}
-        for tree, coeff in self.terms.items():
-            if isinstance(tree, Monomial):
-                continue
-            t = Integ(tree, prime)
-            out[t] = out.get(t, sympy.Integer(0)) + coeff
-        return TreeCombination(out)
-
-    def deriv(self) -> "TreeCombination":
-        out: Dict[Tree, Coeff] = {}
-        for tree, coeff in self.terms.items():
-            for dt, k in deriv_tree(tree):
-                out[dt] = out.get(dt, sympy.Integer(0)) + k * coeff
-        return TreeCombination(out)
-
-    def project_leq(self, bound: ExactDegree) -> "TreeCombination":
-        """Drop all trees of degree strictly above ``bound``."""
-        return TreeCombination(
-            {t: c for t, c in self.terms.items() if tree_degree(t) <= bound}
+    def mul(self, other):
+        """Bilinear extension of the key product."""
+        return type(self)(
+            (self._key_mul(k1, k2), c1 * c2)
+            for k1, c1 in self.items()
+            for k2, c2 in other.items()
         )
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, TreeCombination):
+        if type(other) is not type(self):
             return NotImplemented
-        trees = set(self.terms) | set(other.terms)
-        return all(_is_zero(self.coeff(t) - other.coeff(t)) for t in trees)
+        return not (self - other).terms
 
-    def __hash__(self):
-        raise TypeError("TreeCombination is not hashable")
+    __hash__ = None
 
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
         parts = []
-        for tree in sorted(self.terms, key=_sort_key):
-            coeff = self.terms[tree]
-            if coeff == 1:
-                parts.append(repr(tree))
-            else:
-                parts.append(f"({coeff})*{tree!r}")
+        for key in sorted(self.terms, key=self._key_sort):
+            coeff = self.terms[key]
+            head = self._key_repr(key)
+            parts.append(head if coeff == 1 else f"({coeff})*{head}")
         return " + ".join(parts)
+
+
+class TreeCombination(_Combination):
+    """Formal linear combination of canonical trees with exact coefficients."""
+
+    __slots__ = ()
+    _key_sort = staticmethod(_sort_key)
+    _key_repr = staticmethod(repr)
+
+    @staticmethod
+    def _key_mul(t1, t2):
+        return prod(t1, t2)
+
+    @classmethod
+    def single(cls, tree: Tree, coeff=1) -> "TreeCombination":
+        return cls({tree: coeff})
+
+    def coeff(self, tree: Tree) -> Coeff:
+        return self.terms.get(tree, sympy.Integer(0))
+
+    def integrate(self, prime: bool = False) -> "TreeCombination":
+        """Linear extension of I/I'; monomial terms are annihilated."""
+        return TreeCombination(
+            (Integ(tree, prime), coeff)
+            for tree, coeff in self.items()
+            if not isinstance(tree, Monomial)
+        )
+
+    def deriv(self) -> "TreeCombination":
+        return TreeCombination(
+            (dt, k * coeff) for tree, coeff in self.items() for dt, k in deriv_tree(tree)
+        )
+
+    def project_leq(self, bound: ExactDegree) -> "TreeCombination":
+        """Drop all trees of degree strictly above ``bound``."""
+        return TreeCombination((t, c) for t, c in self.items() if tree_degree(t) <= bound)
 
 
 RightMono = Tuple[Tree, ...]  # sorted tuple of plus-algebra generators
 
 
-def right_mul(m1: RightMono, m2: RightMono) -> RightMono:
-    return tuple(sorted(m1 + m2, key=_sort_key))
+def right_mono(generators: Iterable[Tree]) -> RightMono:
+    """Canonical (sorted) form of a product of plus-algebra generators."""
+    return tuple(sorted(generators, key=_sort_key))
 
 
-class TensorElement:
+class TensorElement(_Combination):
     """Element of (model space) tensor (free commutative plus-algebra).
 
     Keys are pairs ``(tree, right)`` where ``right`` is a sorted tuple of
     generator trees (the empty tuple is the unit of the plus-algebra).
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[Tuple[Tree, RightMono], Coeff] | None = None):
-        self.terms: Dict[Tuple[Tree, RightMono], Coeff] = {}
-        if terms:
-            for key, coeff in terms.items():
-                coeff = sympy.expand(_as_coeff(coeff))
-                if coeff != 0:
-                    self.terms[key] = coeff
+    @staticmethod
+    def _key_mul(k1, k2):
+        return prod(k1[0], k2[0]), right_mono(k1[1] + k2[1])
+
+    @staticmethod
+    def _key_sort(key):
+        return _sort_key(key[0]), [_sort_key(t) for t in key[1]]
+
+    @staticmethod
+    def _key_repr(key) -> str:
+        left, right = key
+        rtxt = "*".join(repr(t) for t in right) if right else "1"
+        return f"{left!r} @ {rtxt}"
 
     @classmethod
-    def single(cls, tree: Tree, right: RightMono = (), coeff=1) -> "TensorElement":
-        return cls({(tree, tuple(sorted(right, key=_sort_key))): coeff})
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        merged = dict(self.terms)
-        for key, coeff in other.terms.items():
-            merged[key] = merged.get(key, sympy.Integer(0)) + coeff
-        return TensorElement(merged)
-
-    def scale(self, scalar) -> "TensorElement":
-        scalar = _as_coeff(scalar)
-        return TensorElement({k: scalar * c for k, c in self.terms.items()})
-
-    def mul(self, other: "TensorElement") -> "TensorElement":
-        out: Dict[Tuple[Tree, RightMono], Coeff] = {}
-        for (l1, r1), c1 in self.terms.items():
-            for (l2, r2), c2 in other.terms.items():
-                key = (prod(l1, l2), right_mul(r1, r2))
-                out[key] = out.get(key, sympy.Integer(0)) + c1 * c2
-        return TensorElement(out)
+    def single(cls, tree: Tree, right: Iterable[Tree] = (), coeff=1) -> "TensorElement":
+        return cls({(tree, right_mono(right)): coeff})
 
     def apply_left(self, fn) -> "TensorElement":
         """Apply a linear map to the left legs.
 
         ``fn`` takes a tree and returns a TreeCombination (possibly zero).
         """
-        out: Dict[Tuple[Tree, RightMono], Coeff] = {}
-        for (left, right), coeff in self.terms.items():
-            for tree, c in fn(left).items():
-                key = (tree, right)
-                out[key] = out.get(key, sympy.Integer(0)) + coeff * c
-        return TensorElement(out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        keys = set(self.terms) | set(other.terms)
-        zero = sympy.Integer(0)
-        return all(
-            _is_zero(self.terms.get(k, zero) - other.terms.get(k, zero)) for k in keys
+        return TensorElement(
+            ((tree, right), coeff * c)
+            for (left, right), coeff in self.items()
+            for tree, c in fn(left).items()
         )
-
-    def __hash__(self):
-        raise TypeError("TensorElement is not hashable")
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (left, right) in sorted(self.terms, key=lambda k: (_sort_key(k[0]), k[1] and [_sort_key(t) for t in k[1]] or [])):
-            coeff = self.terms[(left, right)]
-            rtxt = "*".join(repr(t) for t in right) if right else "1"
-            head = f"{left!r} @ {rtxt}"
-            parts.append(head if coeff == 1 else f"({coeff})*{head}")
-        return " + ".join(parts)

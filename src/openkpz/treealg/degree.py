@@ -43,9 +43,6 @@ class ExactDegree:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "ExactDegree":
-        return ExactDegree(-self.rational, -self.kappa)
-
     def at(self, kappa_value: Fraction) -> Fraction:
         return self.rational + self.kappa * kappa_value
 

@@ -26,10 +26,6 @@ _W_BOUND = tree_degree(basis_tree("<1d1>"))
 _DPSI = TreeCombination.single(PSI)
 
 
-def _q_leq(comb: TreeCombination, bound: ExactDegree) -> TreeCombination:
-    return comb.project_leq(bound)
-
-
 def picard_W(max_iter: int = 10) -> TreeCombination:
     """Fixed point of the truncated mild equation, as a tree expansion.
 
@@ -44,10 +40,9 @@ def picard_W(max_iter: int = 10) -> TreeCombination:
         dw = current.deriv()
         quad = dw.mul(dw) + dw.mul(_DPSI) + _DPSI.mul(_DPSI)
         linear = (dw + _DPSI).scale(a10)
-        nxt = seed + _q_leq(
-            quad.scale(sympy.Rational(1, 2)).integrate() + linear.integrate(),
-            _W_BOUND,
-        )
+        nxt = seed + (
+            quad.scale(sympy.Rational(1, 2)).integrate() + linear.integrate()
+        ).project_leq(_W_BOUND)
         if nxt == current:
             return current
         current = nxt
@@ -59,16 +54,12 @@ def picard_dW() -> TreeCombination:
     return picard_W().deriv()
 
 
-def _degree_zero() -> ExactDegree:
-    return tree_degree(ONE)
-
-
 def q_leq0_nonlinearity(dw: TreeCombination | None = None) -> TreeCombination:
     """Degree-<=0 part of (dW)^2 + 2 (dW)(dPsi) + (dPsi)^2."""
     if dw is None:
         dw = picard_dW()
     full = dw.mul(dw) + dw.mul(_DPSI).scale(2) + _DPSI.mul(_DPSI)
-    return _q_leq(full, _degree_zero())
+    return full.project_leq(ExactDegree(0))
 
 
 class ConstantExtractionError(RuntimeError):
@@ -97,7 +88,7 @@ def renorm_constants(
     q_of_renorm = q_leq0_nonlinearity(mg_dw)
     r = renorm_q - q_of_renorm
 
-    mg_dw_leq0 = _q_leq(mg_dw, _degree_zero())
+    mg_dw_leq0 = mg_dw.project_leq(ExactDegree(0))
     tree_2d1d = basis_tree("<2d1d>")
     tree_1d = basis_tree("<1d>")
 
@@ -109,6 +100,6 @@ def renorm_constants(
     c3 = sympy.expand(-r.coeff(ONE) - c1 * mg_dw_leq0.coeff(ONE))
 
     residual = r + mg_dw_leq0.scale(c1) + TreeCombination({tree_1d: c2, ONE: c3})
-    if not residual == TreeCombination.zero():
+    if residual.terms:
         raise ConstantExtractionError(residual)
     return c1, c2, c3

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from openkpz.treealg.basis import basis_W, parse_tree
-from openkpz.treealg.combination import TensorElement, TreeCombination, _as_coeff
+from openkpz.treealg.combination import TensorElement, TreeCombination, right_mono
 from openkpz.treealg.coproduct import coproduct, gamma_f, generic_character
 from openkpz.treealg.degree import ExactDegree, degree_from_string
 from openkpz.treealg.renorm import RenormParams, renormalize
@@ -46,7 +46,7 @@ def _split_top(text: str, sep: str) -> List[str]:
     return [p.strip() for p in parts]
 
 
-def _parse_term(term: str) -> Tuple[str, Tree]:
+def _parse_term(term: str) -> Tuple[Tree, str]:
     """Split an optional leading parenthesized coefficient off a tree term."""
     term = term.strip()
     coeff = "1"
@@ -58,27 +58,22 @@ def _parse_term(term: str) -> Tuple[str, Tree]:
                 coeff = term[1:i]
                 term = term[i + 1 :].strip()
                 break
-    return coeff, parse_tree(term)
+    return parse_tree(term), coeff
 
 
 def parse_combination(text: str) -> TreeCombination:
-    out = TreeCombination.zero()
-    for term in _split_top(text, "+"):
-        coeff, tree = _parse_term(term)
-        out = out + TreeCombination.single(tree, _as_coeff(coeff))
-    return out
+    return TreeCombination(_parse_term(term) for term in _split_top(text, "+"))
+
+
+def _parse_tensor_term(term: str):
+    left_text, right_text = _split_top(term, "@")
+    left, coeff = _parse_term(left_text)
+    right = () if right_text == "1" else map(parse_tree, _split_top(right_text, "*"))
+    return (left, right_mono(right)), coeff
 
 
 def parse_tensor(text: str) -> TensorElement:
-    out = TensorElement()
-    for term in _split_top(text, "+"):
-        left_text, right_text = _split_top(term, "@")
-        coeff, left = _parse_term(left_text)
-        right: Tuple[Tree, ...] = ()
-        if right_text != "1":
-            right = tuple(parse_tree(f) for f in _split_top(right_text, "*"))
-        out = out + TensorElement.single(left, right, _as_coeff(coeff))
-    return out
+    return TensorElement(_parse_tensor_term(term) for term in _split_top(text, "+"))
 
 
 @dataclass

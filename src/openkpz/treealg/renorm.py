@@ -27,7 +27,7 @@ import sympy
 
 from openkpz.treealg.basis import IP_PSI2, IP_PSI_IP_PSI2, PSI
 from openkpz.treealg.combination import SYMBOLS, TreeCombination, _as_coeff
-from openkpz.treealg.trees import Integ, Monomial, Product, Tree, Xi, prod
+from openkpz.treealg.trees import Integ, Product, Tree, prod
 
 
 @dataclass(frozen=True)
@@ -197,27 +197,26 @@ def _contract(tree: Tree, instances: Sequence[ContractionInstance]) -> Optional[
     return prod(*top)
 
 
+def _contracted_terms(tree: Tree, coeff: sympy.Expr, params: RenormParams):
+    """(tree, weight) for every set of pairwise-disjoint contractions in ``tree``."""
+    instances = list(contraction_generator(tree))
+    for r in range(len(instances) + 1):
+        for subset in itertools.combinations(instances, r):
+            if any(not a.disjoint(b) for a, b in itertools.combinations(subset, 2)):
+                continue
+            contracted = _contract(tree, subset)
+            if contracted is None:
+                continue
+            weight = coeff
+            for inst in subset:
+                weight = weight * (-params.weight(inst.rule))
+            yield contracted, weight
+
+
 def renormalize(params: RenormParams, x: TreeCombination | Tree) -> TreeCombination:
     """M_g x, the sum over sets of pairwise-disjoint contractions."""
     if not isinstance(x, TreeCombination):
         x = TreeCombination.single(x)
-    out = TreeCombination.zero()
-    for tree, coeff in x.items():
-        if isinstance(tree, (Monomial, Xi)):
-            out = out + TreeCombination.single(tree, coeff)
-            continue
-        instances = list(contraction_generator(tree))
-        for r in range(len(instances) + 1):
-            for subset in itertools.combinations(instances, r):
-                if any(
-                    not a.disjoint(b) for a, b in itertools.combinations(subset, 2)
-                ):
-                    continue
-                contracted = _contract(tree, subset)
-                if contracted is None:
-                    continue
-                weight = coeff
-                for inst in subset:
-                    weight = weight * (-params.weight(inst.rule))
-                out = out + TreeCombination.single(contracted, weight)
-    return out
+    return TreeCombination(
+        term for tree, coeff in x.items() for term in _contracted_terms(tree, coeff, params)
+    )

@@ -52,7 +52,7 @@ class Monomial:
 @dataclass(frozen=True)
 class Integ:
     child: "Tree"
-    prime: bool
+    prime: bool = False
 
     def __post_init__(self) -> None:
         if isinstance(self.child, Monomial):
@@ -110,11 +110,6 @@ def prod(*trees: Tree) -> Tree:
     if len(factors) == 1:
         return factors[0]
     return Product(tuple(factors))
-
-
-def integ(tree: Tree, prime: bool = False) -> Tree:
-    """I(tree) or I'(tree); monomial children are rejected (the map is 0 there)."""
-    return Integ(tree, prime)
 
 
 def tree_degree(tree: Tree) -> ExactDegree:

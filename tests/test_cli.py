@@ -17,6 +17,18 @@ class TestVerifyAlgebra:
         out = capsys.readouterr().out
         assert "4/4 tables exact" in out
 
+    def test_full_report_pinned(self, capsys):
+        assert run(["verify-algebra"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "table degree       exact",
+            "table coproduct    exact",
+            "table gamma        exact",
+            "table renormalize  exact",
+            "4/4 tables exact over 14 elements",
+            "structure group: all properties hold",
+            "renormalization constants: (C0, 2*C0, 2*C0*a10 + C1 + C2/4 + C3/2)",
+        ]
+
 
 class TestKernel:
     def test_writes_csv_with_config_header(self, tmp_path):
@@ -74,6 +86,17 @@ class TestConfigFile:
 
     def test_missing_file_rejected(self, tmp_path):
         assert run(["--config", tmp_path / "absent.ini", "simulate"]) == 2
+
+    def test_workers_flag_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["--workers", 2, "--out-dir", tmp_path, "verify-algebra"])
+        assert exc.value.code == 2
+
+    def test_config_header_has_no_workers_key(self, tmp_path):
+        assert run(["--out-dir", tmp_path, "simulate", "--paths", 5,
+                    "--t-final", 0.05, "--dx", 0.0625]) == 0
+        header = (tmp_path / "simulate.csv").read_text().splitlines()[0]
+        assert "workers" not in json.loads(header[len("# config: "):])
 
 
 class TestSampleStationary:

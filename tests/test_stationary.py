@@ -30,9 +30,6 @@ class TestRegime:
         with pytest.raises(RegimeError):
             check_regime(-1.2, 3.0)
 
-    def test_override(self):
-        check_regime(0.5, -0.6, override=True)
-
 
 class TestBmDrift:
     def test_moments(self):

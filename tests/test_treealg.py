@@ -33,7 +33,7 @@ from openkpz.treealg import (
 )
 from openkpz.treealg.combination import SYMBOLS, TreeCombination
 from openkpz.treealg.basis import tree_name
-from openkpz.treealg.trees import XI, ONE, X1, integ, prod
+from openkpz.treealg.trees import XI, ONE, X1, prod
 
 
 class TestDegrees:
@@ -126,6 +126,15 @@ class TestStructureGroup:
     def test_generic_character_properties(self):
         report = check_structure_group(generic_character())
         assert report.all_passed, str(report)
+
+    def test_report_covers_every_check(self):
+        report = check_structure_group(generic_character())
+        kinds = [prop.split()[0] for prop, _, _ in report.entries]
+        assert len(kinds) == 52
+        assert all(passed for _, passed, _ in report.entries)
+        assert {k: kinds.count(k) for k in set(kinds)} == {
+            "fixes": 1, "triangular": 14, "multiplicative": 31, "Gamma": 6,
+        }
 
     def test_identity_composition(self):
         f = generic_character()
