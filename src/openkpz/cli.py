@@ -21,6 +21,7 @@ from typing import Dict, Sequence
 import numpy as np
 
 from openkpz.grid import default_dt, grid_size, snap_time
+from openkpz.stationary import McmcConfig
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -45,9 +46,9 @@ OPTIONS: Dict[str, Dict] = {
         "v": 1.0,
         "dx": 1.0 / 64,
         "n_samples": 1000,
-        "rho": 0.5,
-        "burn_in": 2000,
-        "thinning": 10,
+        "rho": McmcConfig.rho,
+        "burn_in": McmcConfig.burn_in,
+        "thinning": McmcConfig.thinning,
         "normalization_samples": 20000,
     },
     "experiment": {
@@ -82,6 +83,10 @@ def _resolve(args: argparse.Namespace, section: str) -> Dict:
                 if key not in defaults:
                     raise ConfigError(f"unknown key {key!r} in section [{section}]")
                 resolved[key] = type(defaults[key])(raw)
+                if key in CHOICES and resolved[key] not in CHOICES[key]:
+                    raise ConfigError(
+                        f"{key} = {raw!r} in section [{section}]; choose from {CHOICES[key]}"
+                    )
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
@@ -148,27 +153,21 @@ def cmd_kernel(args) -> int:
 
     resolved = _resolve(args, "kernel")
     kind = resolved["kind"]
-    t = float(resolved["t"])
-    n = int(resolved["grid"])
+    t = resolved["t"]
+    n = resolved["grid"]
     xs = np.linspace(0.0, 1.0, n + 1)
-    rows = []
-    if kind == "neumann":
-        values, tail = kernels.neumann_kernel(
-            t, xs[:, None], xs[None, :], M=int(resolved["images"])
-        )
-        for i, x in enumerate(xs):
-            for j, y in enumerate(xs):
-                rows.append((t, x, y, values[i, j], tail))
-    elif kind == "robin":
-        matrix = kernels.robin_kernel(t, float(resolved["u"]), float(resolved["v"]), n=n)
-        for i, x in enumerate(xs):
-            for j, y in enumerate(xs):
-                rows.append((t, x, y, matrix[i, j], ""))
-    elif kind == "gauss":
-        for x in xs:
-            rows.append((t, x, 0.0, float(kernels.gauss_kernel(t, x)), 0.0))
+    if kind == "gauss":
+        rows = [(t, x, 0.0, float(kernels.gauss_kernel(t, x)), 0.0) for x in xs]
     else:
-        raise ConfigError(f"unknown kernel kind {kind!r}")
+        if kind == "neumann":
+            values, bound = kernels.neumann_kernel(
+                t, xs[:, None], xs[None, :], M=resolved["images"]
+            )
+        else:
+            values, bound = kernels.robin_kernel(t, resolved["u"], resolved["v"], n=n), ""
+        rows = [
+            (t, x, y, values[i, j], bound) for i, x in enumerate(xs) for j, y in enumerate(xs)
+        ]
     path = _out_dir(args) / f"kernel_{kind}.csv"
     _write_csv(path, resolved, ("t", "x", "y", "value", "error_bound"), rows)
     print(f"wrote {path}")
@@ -179,8 +178,8 @@ def cmd_constant_a(args) -> int:
     from openkpz import kernels
 
     resolved = _resolve(args, "constant-a")
-    rho = kernels.Mollifier(float(resolved["time_radius"]), float(resolved["space_radius"]))
-    value, error = kernels.constant_a(rho, n=int(resolved["cells"]))
+    rho = kernels.Mollifier(resolved["time_radius"], resolved["space_radius"])
+    value, error = kernels.constant_a(rho, n=resolved["cells"])
     payload = {
         "value": value,
         "error_estimate": error,
@@ -201,22 +200,22 @@ def cmd_simulate(args) -> int:
     from openkpz import shesolver
 
     resolved = _resolve(args, "simulate")
-    dx = float(resolved["dx"])
-    dt = float(resolved["dt"]) or default_dt(dx)
-    t_final = snap_time(float(resolved["t_final"]), dt)
+    dx = resolved["dx"]
+    dt = resolved["dt"] or default_dt(dx)
+    t_final = snap_time(resolved["t_final"], dt)
     saves = (
-        tuple(snap_time(float(s), dt) for s in str(resolved["save_times"]).split(",") if s.strip())
+        tuple(snap_time(float(s), dt) for s in resolved["save_times"].split(",") if s.strip())
         or (t_final,)
     )
     cfg = shesolver.SimConfig(
         dx=dx,
         dt=dt,
         t_final=t_final,
-        n_paths=int(resolved["paths"]),
-        seed=int(resolved["seed"]),
+        n_paths=resolved["paths"],
+        seed=resolved["seed"],
         save_times=saves,
     )
-    params = shesolver.BoundaryParams(float(resolved["u"]), float(resolved["v"]))
+    params = shesolver.BoundaryParams(resolved["u"], resolved["v"])
     result = shesolver.simulate_she(np.ones(cfg.n + 1), params, cfg)
     xs = np.linspace(0.0, 1.0, cfg.n + 1)
     rows = []
@@ -236,22 +235,22 @@ def cmd_sample_stationary(args) -> int:
     from openkpz import stationary
 
     resolved = _resolve(args, "sample-stationary")
-    u, v, dx = float(resolved["u"]), float(resolved["v"]), float(resolved["dx"])
-    seed = int(resolved["seed"])
+    u, v, dx = resolved["u"], resolved["v"], resolved["dx"]
+    seed = resolved["seed"]
     if abs(u + v) < 1e-12:
-        samples = stationary.sample_bm_drift(u, dx, int(resolved["n_samples"]), seed)
+        samples = stationary.sample_bm_drift(u, dx, resolved["n_samples"], seed)
         sidecar = {"sampler": "brownian-with-drift", "config": resolved}
     else:
-        cfg = stationary.McmcConfig(
-            rho=float(resolved["rho"]),
-            burn_in=int(resolved["burn_in"]),
-            thinning=int(resolved["thinning"]),
-            n_samples=int(resolved["n_samples"]),
+        cfg = McmcConfig(
+            rho=resolved["rho"],
+            burn_in=resolved["burn_in"],
+            thinning=resolved["thinning"],
+            n_samples=resolved["n_samples"],
             seed=seed,
         )
         result = stationary.sample_stationary_mcmc(u, v, cfg, dx)
         z_est, z_se = stationary.estimate_normalization(
-            u, v, dx, int(resolved["normalization_samples"]), seed + 1
+            u, v, dx, resolved["normalization_samples"], seed + 1
         )
         samples = result.samples
         sidecar = {
@@ -275,17 +274,17 @@ def cmd_experiment(args) -> int:
     from openkpz import harness
 
     resolved = _resolve(args, f"experiment.{args.name}")
-    u, v = float(resolved["u"]), float(resolved["v"])
-    dx = float(resolved["dx"])
-    seed = int(resolved["seed"])
-    t_final = float(resolved["t_final"])
+    u, v = resolved["u"], resolved["v"]
+    dx = resolved["dx"]
+    seed = resolved["seed"]
+    t_final = resolved["t_final"]
     if args.name == "stationarity":
         report = harness.stationarity_experiment(
-            u, v, n_samples=int(resolved["n_samples"]), t_final=t_final, dx=dx, seed=seed
+            u, v, n_samples=resolved["n_samples"], t_final=t_final, dx=dx, seed=seed
         )
     elif args.name == "ergodic":
         report = harness.ergodic_average(
-            u, v, functional=str(resolved["functional"]), t_final=t_final, dx=dx, seed=seed
+            u, v, functional=resolved["functional"], t_final=t_final, dx=dx, seed=seed
         )
     else:  # coupling
         n = grid_size(dx)

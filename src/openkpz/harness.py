@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
 import numpy as np
-from scipy import stats
 
 from openkpz.grid import default_dt, grid_size, snap_time, time_steps
 from openkpz.shesolver import (
@@ -29,6 +28,7 @@ from openkpz.stationary import (
 
 MARGINAL_POINTS = (0.25, 0.5, 0.75, 1.0)
 KS_ALPHA = 0.01  # family-wise level, Bonferroni-split across marginals
+BATCHES = 20  # batch means for the standard error of a time average
 
 
 @dataclass
@@ -66,6 +66,8 @@ class TestReport:
 
 def ks_two_sample(a: np.ndarray, b: np.ndarray) -> Tuple[float, float]:
     """Two-sample Kolmogorov-Smirnov statistic and asymptotic p-value."""
+    from scipy import stats  # slow to import, and only needed here
+
     a = np.asarray(a)
     b = np.asarray(b)
     if len(a) < 50 or len(b) < 50:
@@ -74,16 +76,11 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> Tuple[float, float]:
     return float(res.statistic), float(res.pvalue)
 
 
-def _initial_ensemble(
-    u: float, v: float, n_samples: int, dx: float, seed: int, mcmc: McmcConfig | None
-) -> np.ndarray:
+def _initial_ensemble(u: float, v: float, n_samples: int, dx: float, seed: int) -> np.ndarray:
     """Anchored stationary samples h with h(0) = 0, shape (n_samples, n+1)."""
     if abs(u + v) < 1e-12:
         return sample_bm_drift(u, dx, n_samples, seed)
-    cfg = mcmc or McmcConfig(rho=0.5, burn_in=2000, thinning=10, n_samples=n_samples, seed=seed)
-    if cfg.n_samples < n_samples:
-        raise ValueError("MCMC config yields too few samples")
-    return sample_stationary_mcmc(u, v, cfg, dx).samples[:n_samples]
+    return sample_stationary_mcmc(u, v, McmcConfig(n_samples=n_samples, seed=seed), dx).samples
 
 
 def stationarity_experiment(
@@ -93,7 +90,6 @@ def stationarity_experiment(
     t_final: float = 1.0,
     dx: float = 1.0 / 64,
     seed: int = 0,
-    mcmc: McmcConfig | None = None,
     initial: np.ndarray | None = None,
     reference: np.ndarray | None = None,
     label: str = "stationarity",
@@ -108,7 +104,7 @@ def stationarity_experiment(
     sensitivity at short horizons, a wrong reference law demonstrates it at
     any horizon (the dynamics relax wrong starts, never wrong references).
     """
-    drawn = _initial_ensemble(u, v, 2 * n_samples, dx, seed, mcmc)
+    drawn = _initial_ensemble(u, v, 2 * n_samples, dx, seed)
     h_ref = drawn[:n_samples] if reference is None else np.asarray(reference, dtype=float)
     h0 = drawn[n_samples:] if initial is None else np.asarray(initial, dtype=float)
 
@@ -161,7 +157,9 @@ FUNCTIONALS: Dict[str, Callable[[np.ndarray, float], np.ndarray]] = {
 }
 
 
-def batch_means_se(series: np.ndarray, n_batches: int = 20) -> float:
+def batch_means_se(series: np.ndarray, n_batches: int = BATCHES) -> float:
+    if len(series) < n_batches:
+        raise ValueError(f"{len(series)} samples cannot fill {n_batches} batch means")
     usable = (len(series) // n_batches) * n_batches
     batches = series[:usable].reshape(n_batches, -1).mean(axis=1)
     return float(batches.std(ddof=1) / np.sqrt(n_batches))
@@ -176,18 +174,20 @@ def ergodic_average(
     seed: int = 0,
     n_reference: int = 4000,
     sample_stride: int = 8,
-    mcmc: McmcConfig | None = None,
 ) -> TestReport:
     """Time average of F along one long stationary path vs. the ensemble mean."""
     if functional not in FUNCTIONALS:
         raise ValueError(f"unknown functional {functional!r}; choose from {sorted(FUNCTIONALS)}")
     F = FUNCTIONALS[functional]
-    h0 = _initial_ensemble(u, v, 1, dx, seed, mcmc)[0]
-
     dt = default_dt(dx)
-    save_times = tuple(
-        k * dt for k in range(sample_stride, time_steps(t_final, dt) + 1, sample_stride)
-    )
+    saved_steps = range(sample_stride, time_steps(t_final, dt) + 1, sample_stride)
+    if len(saved_steps) < BATCHES:
+        raise ValueError(
+            f"t_final = {t_final} gives {len(saved_steps)} samples along the path; "
+            f"the batch-means error needs at least {BATCHES}"
+        )
+    h0 = _initial_ensemble(u, v, 1, dx, seed)[0]
+    save_times = tuple(k * dt for k in saved_steps)
     cfg = SimConfig(dx=dx, t_final=t_final, n_paths=1, seed=seed + 1, save_times=save_times)
     result = simulate_she(np.exp(h0), BoundaryParams(u, v), cfg)
     if result.positivity_lost[0]:
@@ -198,7 +198,7 @@ def ergodic_average(
     time_avg = float(series.mean())
     se_time = batch_means_se(series)
 
-    reference = _initial_ensemble(u, v, n_reference, dx, seed + 2, mcmc)
+    reference = _initial_ensemble(u, v, n_reference, dx, seed + 2)
     ref_vals = F(anchor(reference), dx)
     ref_mean = float(ref_vals.mean())
     se_ref = float(ref_vals.std(ddof=1) / np.sqrt(n_reference))

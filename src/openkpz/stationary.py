@@ -72,9 +72,9 @@ def rn_log_weight(beta: np.ndarray, u: float, v: float, dx: float) -> np.ndarray
 
 @dataclass(frozen=True)
 class McmcConfig:
-    rho: float = 0.2
+    rho: float = 0.5
     burn_in: int = 2000
-    thinning: int = 20
+    thinning: int = 10
     n_samples: int = 2000
     seed: int = 0
 
@@ -164,15 +164,11 @@ def sample_stationary_mcmc(
             kept.append(beta.copy())
     beta_samples = np.array(kept[: cfg.n_samples])
     w_fresh = brownian_half(dx, len(beta_samples), rng)
-    series = logw_series[cfg.burn_in :]
-    if zero_exponents:
-        # the weight is constant; use the endpoint path statistic instead
-        series = None
     return McmcResult(
         samples=w_fresh + beta_samples,
         beta_samples=beta_samples,
         acceptance_rate=accepted / cfg.chain_length,
-        autocorr_time=(_integrated_autocorr(series) if series is not None else 1.0),
+        autocorr_time=_integrated_autocorr(logw_series[cfg.burn_in :]),
         config=cfg,
     )
 

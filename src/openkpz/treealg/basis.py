@@ -78,72 +78,56 @@ def tree_name(tree: Tree) -> str | None:
     return _NAME_BY_TREE.get(tree)
 
 
-# --- plain-text tree syntax: Xi | 1 | X1 | X^(l0,l1) | I(t) | I'(t) | t*t ---
+# --- plain-text tree syntax: Xi | 1 | X1 | X^(l0,l1) | <name> | I(t) | I'(t) | t*t ---
 
-_TOKEN = re.compile(r"<[^>]+>|I'|I|Xi|X1|X\^\(\d+,\d+\)|1|\(|\)|\*")
+_MONOMIAL = re.compile(r"X\^\((\d+),(\d+)\)")
+_INTEG = re.compile(r"(I'?)\((.*)\)")
+
+
+def _split_top(text: str, sep: str) -> List[str]:
+    """Split on the character ``sep`` outside parentheses and angle brackets."""
+    parts: List[str] = []
+    depth = start = 0
+    for i, ch in enumerate(text):
+        if ch == sep and depth == 0:
+            parts.append(text[start:i].strip())
+            start = i + 1
+        elif ch in "(<":
+            depth += 1
+        elif ch in ")>":
+            depth -= 1
+    parts.append(text[start:].strip())
+    return parts
 
 
 def parse_tree(text: str) -> Tree:
-    tokens = _TOKEN.findall(text.replace(" ", ""))
-    if "".join(tokens) != text.replace(" ", ""):
-        raise ValueError(f"cannot tokenize tree {text!r}")
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def parse_product() -> Tree:
-        nonlocal pos
-        factors = [parse_atom()]
-        while peek() == "*":
-            pos += 1
-            factors.append(parse_atom())
-        return prod(*factors)
-
-    def parse_atom() -> Tree:
-        nonlocal pos
-        tok = peek()
-        if tok is None:
-            raise ValueError(f"unexpected end of tree {text!r}")
-        pos += 1
-        if tok == "Xi":
-            return XI
-        if tok == "1":
-            return ONE
-        if tok == "X1":
-            return X1
-        if tok.startswith("X^"):
-            l0, l1 = map(int, tok[3:-1].split(","))
-            return Monomial(l0, l1)
-        if tok.startswith("<"):
-            return basis_tree(tok)
-        if tok in ("I", "I'"):
-            if peek() != "(":
-                raise ValueError(f"expected '(' after {tok} in {text!r}")
-            pos += 1
-            child = parse_product()
-            if peek() != ")":
-                raise ValueError(f"expected ')' in {text!r}")
-            pos += 1
-            return Integ(child, prime=(tok == "I'"))
-        raise ValueError(f"unexpected token {tok!r} in {text!r}")
-
-    out = parse_product()
-    if pos != len(tokens):
-        raise ValueError(f"trailing tokens in {text!r}")
-    return out
+    """Read a tree in the syntax that ``format_tree`` and ``repr`` write."""
+    return _parse(text.replace(" ", ""))
 
 
-def format_tree(tree: Tree, use_names: bool = True) -> str:
-    if use_names:
-        name = tree_name(tree)
-        if name is not None:
-            return name
+def _parse(text: str) -> Tree:
+    factors = _split_top(text, "*")
+    if len(factors) > 1:
+        return prod(*map(_parse, factors))
+    if text in _NAMED:
+        return _NAMED[text]
+    if match := _MONOMIAL.fullmatch(text):
+        return Monomial(int(match[1]), int(match[2]))
+    if match := _INTEG.fullmatch(text):
+        return Integ(_parse(match[2]), prime=match[1] == "I'")
+    raise ValueError(f"cannot read {text!r} as a tree")
+
+
+def format_tree(tree: Tree) -> str:
+    """Write a tree, using diagram names where they apply."""
+    name = tree_name(tree)
+    if name is not None:
+        return name
     if isinstance(tree, (Xi, Monomial)):
         return repr(tree)
     if isinstance(tree, Integ):
         head = "I'" if tree.prime else "I"
-        return f"{head}({format_tree(tree.child, use_names)})"
+        return f"{head}({format_tree(tree.child)})"
     if isinstance(tree, Product):
-        return "*".join(format_tree(f, use_names) for f in tree.factors)
+        return "*".join(format_tree(f) for f in tree.factors)
     raise TypeError(f"not a tree: {tree!r}")

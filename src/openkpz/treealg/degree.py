@@ -9,6 +9,7 @@ for the degrees generated by the basis trees).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -71,48 +72,24 @@ class ExactDegree:
         return (self - other)._sign() >= 0
 
     def __str__(self) -> str:
-        parts = []
-        if self.rational != 0 or self.kappa == 0:
-            parts.append(str(self.rational))
-        if self.kappa != 0:
-            if self.kappa == 1:
-                term = "k"
-            elif self.kappa == -1:
-                term = "-k"
-            else:
-                term = f"{self.kappa}*k"
-            if parts and not term.startswith("-"):
-                parts.append("+" + term)
-            else:
-                parts.append(term)
-        return "".join(parts)
+        if self.kappa == 0:
+            return str(self.rational)
+        k = {1: "k", -1: "-k"}.get(self.kappa, f"{self.kappa}*k")
+        if self.rational == 0:
+            return k
+        return f"{self.rational}{'' if k[0] == '-' else '+'}{k}"
+
+
+# [q][±[r*]k]: a sign is required before the kappa term when q is present
+_DEGREE = re.compile(r"(?P<q>[+-]?[\d/]+)?(?P<k>(?(q)[+-]|[+-]?)(?:[\d/]+\*)?k)?")
 
 
 def degree_from_string(text: str) -> ExactDegree:
     """Parse strings like ``-3/2-k``, ``1``, ``-2*k``, ``3/2-3*k``."""
-    text = text.replace(" ", "")
-    rational = Fraction(0)
-    kappa = Fraction(0)
-    # Split into signed monomials.
-    chunks = []
-    current = ""
-    for ch in text:
-        if ch in "+-" and current not in ("", "+", "-"):
-            chunks.append(current)
-            current = ch
-        else:
-            current += ch
-    if current:
-        chunks.append(current)
-    for chunk in chunks:
-        if chunk.endswith("k"):
-            body = chunk[:-1].rstrip("*")
-            if body in ("", "+"):
-                kappa += 1
-            elif body == "-":
-                kappa -= 1
-            else:
-                kappa += Fraction(body)
-        else:
-            rational += Fraction(chunk)
-    return ExactDegree(rational, kappa)
+    match = _DEGREE.fullmatch(text.replace(" ", ""))
+    if match is None or not text.strip():
+        raise ValueError(f"cannot read {text!r} as a degree")
+    r = (match["k"] or "0").rstrip("k*")
+    if r in ("", "+", "-"):
+        r += "1"
+    return ExactDegree(Fraction(match["q"] or 0), Fraction(r))

@@ -13,7 +13,7 @@ import importlib.resources
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from openkpz.treealg.basis import basis_W, parse_tree
+from openkpz.treealg.basis import _split_top, basis_W, parse_tree
 from openkpz.treealg.combination import TensorElement, TreeCombination, right_mono
 from openkpz.treealg.coproduct import coproduct, gamma_f, generic_character
 from openkpz.treealg.degree import ExactDegree, degree_from_string
@@ -23,42 +23,13 @@ from openkpz.treealg.trees import Tree, tree_degree
 TABLE_NAMES = ("degree", "coproduct", "gamma", "renormalize")
 
 
-def _split_top(text: str, sep: str) -> List[str]:
-    """Split on ``sep`` outside parentheses and angle brackets."""
-    parts: List[str] = []
-    depth = 0
-    current = ""
-    i = 0
-    while i < len(text):
-        if depth == 0 and text.startswith(sep, i):
-            parts.append(current)
-            current = ""
-            i += len(sep)
-            continue
-        ch = text[i]
-        if ch in "(<":
-            depth += 1
-        elif ch in ")>":
-            depth -= 1
-        current += ch
-        i += 1
-    parts.append(current)
-    return [p.strip() for p in parts]
-
-
 def _parse_term(term: str) -> Tuple[Tree, str]:
     """Split an optional leading parenthesized coefficient off a tree term."""
-    term = term.strip()
-    coeff = "1"
-    if term.startswith("("):
-        depth = 0
-        for i, ch in enumerate(term):
-            depth += (ch == "(") - (ch == ")")
-            if depth == 0:
-                coeff = term[1:i]
-                term = term[i + 1 :].strip()
-                break
-    return parse_tree(term), coeff
+    if not term.startswith("("):
+        return parse_tree(term), "1"
+    # past the opening '(', the first ')' outside brackets closes the coefficient
+    coeff, tree = _split_top(term[1:], ")")
+    return parse_tree(tree), coeff
 
 
 def parse_combination(text: str) -> TreeCombination:

@@ -87,6 +87,13 @@ class TestConfigFile:
     def test_missing_file_rejected(self, tmp_path):
         assert run(["--config", tmp_path / "absent.ini", "simulate"]) == 2
 
+    def test_config_value_outside_choices_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[kernel]\nkind = cauchy\n")
+        assert run(["--config", cfg, "--out-dir", tmp_path, "kernel"]) == 2
+        assert "choose from ('neumann', 'robin', 'gauss')" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_workers_flag_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["--workers", 2, "--out-dir", tmp_path, "verify-algebra"])
@@ -139,3 +146,10 @@ class TestExperiment:
                     "--v", 0, "--t-final", 0.125, "--dx", 0.03125]) == 0
         payload = json.loads((tmp_path / "experiment_coupling.json").read_text())
         assert "distance_curve" in payload["statistics"]
+
+    def test_ergodic_path_too_short_for_batch_means_exit_2(self, tmp_path, capsys):
+        code = run(["--seed", 4, "--out-dir", tmp_path, "experiment", "ergodic", "--u", 0.5,
+                    "--v", 0.5, "--t-final", 0.25, "--dx", 0.0625])
+        assert code == 2
+        assert "16 samples" in capsys.readouterr().err
+        assert not (tmp_path / "experiment_ergodic.json").exists()

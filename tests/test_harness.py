@@ -47,6 +47,10 @@ class TestBatchMeans:
         naive = x.std(ddof=1) / np.sqrt(len(x))
         assert batch_means_se(x) > 2.0 * naive
 
+    def test_fewer_samples_than_batches_rejected(self):
+        with pytest.raises(ValueError, match="16 samples"):
+            batch_means_se(np.ones(16))
+
 
 class TestStationarity:
     def test_exact_regime_passes(self):
@@ -82,6 +86,15 @@ class TestErgodic:
         )
         assert report.passed
         assert abs(report.statistics["z_score"]) < 3.0
+
+    def test_too_few_samples_rejected_before_simulating(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("ran before the sample count was checked")
+
+        monkeypatch.setattr(harness, "sample_stationary_mcmc", unreachable)
+        monkeypatch.setattr(harness, "simulate_she", unreachable)
+        with pytest.raises(ValueError, match="16 samples"):
+            ergodic_average(0.5, 0.5, t_final=0.25, dx=1.0 / 16, seed=4)
 
     def test_unknown_functional_rejected(self):
         with pytest.raises(ValueError):

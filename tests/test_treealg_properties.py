@@ -1,19 +1,35 @@
-"""Property tests for exact tree combinations: the vector-space and algebra laws."""
+"""Property tests for the tree algebra: combination laws, degrees and the text syntax."""
 
+from fractions import Fraction
 from functools import reduce
 from operator import add
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from openkpz.treealg import BASIS_NAMES, basis_tree, coproduct, prod
+from openkpz.treealg import (
+    BASIS_NAMES,
+    XI,
+    ExactDegree,
+    Integ,
+    Monomial,
+    basis_tree,
+    coproduct,
+    format_tree,
+    parse_tree,
+    prod,
+    tree_degree,
+)
 from openkpz.treealg.combination import SYMBOLS, TreeCombination
+from openkpz.treealg.degree import degree_from_string
 
 NAMED_TREES = [basis_tree(name) for name in BASIS_NAMES + ["<1d1d>", "<2d2d1d>"]]
 
 # Fixed examples per test keep tier-1 deterministic and its cost bounded.
 LAWS = settings(max_examples=50, deadline=None, derandomize=True)
+SYNTAX = settings(max_examples=300, deadline=None, derandomize=True)
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4).map(
     lambda q: sympy.Rational(q.numerator, q.denominator)
@@ -57,3 +73,48 @@ def test_repeated_keys_add_up(terms):
 @given(st.sampled_from(NAMED_TREES), st.sampled_from(NAMED_TREES))
 def test_coproduct_is_multiplicative(s, t):
     assert coproduct(prod(s, t)) == coproduct(s).mul(coproduct(t))
+
+
+# Grammar trees: Xi and monomials, I/I' of a non-monomial, and products.
+grammar_trees = st.recursive(
+    st.just(XI) | st.builds(Monomial, st.integers(0, 2), st.integers(0, 2)),
+    lambda children: st.builds(
+        Integ, children.filter(lambda t: not isinstance(t, Monomial)), st.booleans()
+    )
+    | st.lists(children, min_size=2, max_size=3).map(lambda factors: prod(*factors)),
+    max_leaves=8,
+)
+
+
+@SYNTAX
+@given(grammar_trees)
+def test_trees_read_back_from_both_writers(tree):
+    assert parse_tree(format_tree(tree)) == tree
+    assert parse_tree(repr(tree)) == tree
+
+
+@LAWS
+@given(grammar_trees, grammar_trees)
+def test_degree_is_additive(s, t):
+    assert tree_degree(prod(s, t)) == tree_degree(s) + tree_degree(t)
+
+
+# 0 and +-1 take their own branches in ExactDegree.__str__
+fractions = st.sampled_from([-1, 0, 1]).map(Fraction) | st.fractions(
+    min_value=-20, max_value=20, max_denominator=12
+)
+
+
+@SYNTAX
+@given(fractions, fractions)
+def test_degrees_read_back(q, r):
+    degree = ExactDegree(q, r)
+    assert degree_from_string(str(degree)) == degree
+
+
+@pytest.mark.parametrize(
+    "text", ["", "I(", "I(Xi", "Xi*", "*Xi", "I()", "X^(1)", "<nope>", "(Xi)", "I(Xi)(Xi)"]
+)
+def test_malformed_tree_rejected(text):
+    with pytest.raises(ValueError):
+        parse_tree(text)
