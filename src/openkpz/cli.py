@@ -5,7 +5,8 @@ Configuration comes from an INI file (section per subcommand) overridden by
 explicit flags; every artifact embeds the fully resolved configuration and
 seed and contains no timestamps, so a rerun with the same seed is
 byte-identical.  Exit codes: 0 success, 1 verification mismatch, 2
-configuration error.
+configuration error, 3 numerical failure (such as a path that lost
+positivity).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from openkpz.stationary import McmcConfig
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_CONFIG = 2
+EXIT_NUMERICAL = 3
 
 # Per subcommand: option -> default.  Each option is an INI key of that name
 # and a flag --the-name of the default's type.  The master seed is shared.
@@ -238,6 +240,9 @@ def cmd_sample_stationary(args) -> int:
     u, v, dx = resolved["u"], resolved["v"], resolved["dx"]
     seed = resolved["seed"]
     if abs(u + v) < 1e-12:
+        # the exact sampler reads none of the pCN and normalisation options
+        resolved = {key: value for key, value in resolved.items()
+                    if key not in ("rho", "burn_in", "thinning", "normalization_samples")}
         samples = stationary.sample_bm_drift(u, dx, resolved["n_samples"], seed)
         sidecar = {"sampler": "brownian-with-drift", "config": resolved}
     else:
@@ -360,6 +365,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except RuntimeError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ so a report is reproducible bit-exactly from its own contents.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -91,21 +91,23 @@ def stationarity_experiment(
     dx: float = 1.0 / 64,
     seed: int = 0,
     initial: np.ndarray | None = None,
-    reference: np.ndarray | None = None,
     label: str = "stationarity",
-) -> TestReport:
+    wrong_laws: Mapping[str, np.ndarray] | None = None,
+) -> TestReport | Tuple[TestReport, ...]:
     """KS-compare anchored marginals of a stationary start at times 0 and T.
 
     The time-0 reference ensemble is drawn fresh and independently of the
     evolved ensemble (2 n_samples draws, split), keeping the two KS samples
-    independent.  ``initial`` overrides the evolved ensemble's start;
-    ``reference`` overrides the comparison law.  Controls pass a deliberately
-    wrong array for one of the two: a wrong initial state demonstrates
-    sensitivity at short horizons, a wrong reference law demonstrates it at
-    any horizon (the dynamics relax wrong starts, never wrong references).
+    independent.  ``initial`` overrides the evolved ensemble's start.
+    ``wrong_laws`` maps labels to further reference ensembles: the one
+    evolved ensemble is KS-tested against each as well, and the reports come
+    back as a tuple, the fresh reference's first and then one per label.
+    Controls pass deliberately wrong arrays: a wrong initial state
+    demonstrates sensitivity at short horizons, a wrong reference law
+    demonstrates it at any horizon (the dynamics relax wrong starts, never
+    wrong references).
     """
     drawn = _initial_ensemble(u, v, 2 * n_samples, dx, seed)
-    h_ref = drawn[:n_samples] if reference is None else np.asarray(reference, dtype=float)
     h0 = drawn[n_samples:] if initial is None else np.asarray(initial, dtype=float)
 
     t_final = snap_time(t_final, default_dt(dx))
@@ -117,37 +119,44 @@ def stationarity_experiment(
 
     n = grid_size(dx)
     per_marginal = KS_ALPHA / len(MARGINAL_POINTS)
-    p_values = {}
-    ks_stats = {}
-    for x in MARGINAL_POINTS:
-        j = round(x * n)
-        stat, p = ks_two_sample(anchor(h_ref)[:, j], h_t[:, j])
-        p_values[str(x)] = p
-        ks_stats[str(x)] = stat
-    passed = all(p > per_marginal for p in p_values.values())
-    return TestReport(
-        experiment=label,
-        parameters={
-            "u": u,
-            "v": v,
-            "n_samples": n_samples,
-            "t_final": t_final,
-            "dx": dx,
-            "wrong_law_control": initial is not None or reference is not None,
-        },
-        statistics={
-            "ks": ks_stats,
-            "p_values": p_values,
-            "exclusion_rate": result.exclusion_rate,
-        },
-        thresholds={
-            "family_alpha": KS_ALPHA,
-            "per_marginal_alpha": per_marginal,
-            "correction": "Bonferroni over 4 marginals",
-        },
-        passed=passed,
-        seeds={"sampler": seed, "solver": seed + 1},
-    )
+
+    def report(reference: np.ndarray, name: str, wrong: bool) -> TestReport:
+        p_values = {}
+        ks_stats = {}
+        for x in MARGINAL_POINTS:
+            j = round(x * n)
+            stat, p = ks_two_sample(anchor(reference)[:, j], h_t[:, j])
+            p_values[str(x)] = p
+            ks_stats[str(x)] = stat
+        return TestReport(
+            experiment=name,
+            parameters={
+                "u": u,
+                "v": v,
+                "n_samples": n_samples,
+                "t_final": t_final,
+                "dx": dx,
+                "wrong_law_control": wrong,
+            },
+            statistics={
+                "ks": ks_stats,
+                "p_values": p_values,
+                "exclusion_rate": result.exclusion_rate,
+            },
+            thresholds={
+                "family_alpha": KS_ALPHA,
+                "per_marginal_alpha": per_marginal,
+                "correction": "Bonferroni over 4 marginals",
+            },
+            passed=all(p > per_marginal for p in p_values.values()),
+            seeds={"sampler": seed, "solver": seed + 1},
+        )
+
+    own = report(drawn[:n_samples], label, initial is not None)
+    if wrong_laws is None:
+        return own
+    return (own, *(report(np.asarray(ref, dtype=float), name, True)
+                   for name, ref in wrong_laws.items()))
 
 
 FUNCTIONALS: Dict[str, Callable[[np.ndarray, float], np.ndarray]] = {

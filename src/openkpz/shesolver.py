@@ -6,16 +6,24 @@ Z_j eta_j sqrt(dt/dx) per cell and step with independent standard Gaussians
 (the space-time white noise discretization).  Paths that lose positivity
 are flagged and excluded from statistics, never clamped.
 
-Determinism: noise streams are derived from (seed, chunk index) with a
-fixed chunk size of paths, so results are bit-identical for a given seed.
+Determinism and threads: noise streams are derived from (seed, chunk index)
+with a fixed chunk size of paths.  The chunks run concurrently, one thread
+each up to the number of usable CPUs, and every chunk steps only its own
+paths with its own stream through a step that holds no shared mutable state,
+so results are bit-identical for a given seed whatever the thread count.
+The step solves with LAPACK's tridiagonal LU (``dgttrf``/``dgttrs``), which
+calls no BLAS and releases the GIL, so the threads overlap.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from openkpz.grid import default_dt, grid_size, time_steps
 from openkpz.kernels import CrankNicolson, robin_laplacian
@@ -105,6 +113,42 @@ def _noise_stream(seed: int, chunk: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, chunk]))
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _TridiagonalStep:
+    """One Crank-Nicolson step (I - dt/2 L) z' = (I + dt/2 L) z + forcing.
+
+    Acts on the rows of a C-contiguous (paths, n+1) array.  The explicit
+    product works on column slices of the three bands, and the implicit
+    solve uses LAPACK's tridiagonal LU, factored once here: ``z.T`` is the
+    Fortran-ordered right-hand side that ``dgttrs`` overwrites in place.
+    Neither calls BLAS, and ``dgttrs`` releases the GIL, so threads may share
+    one instance: it is read-only after construction.
+    """
+
+    def __init__(self, L, dt: float):
+        half = 0.5 * dt
+        lower, diag, upper = (L.diagonal(k) for k in (-1, 0, 1))
+        self._explicit = (half * lower, 1.0 + half * diag, half * upper)
+        *self._lu, info = dgttrf(-half * lower, 1.0 - half * diag, -half * upper)
+        if info != 0:
+            raise ValueError(f"I - dt/2 L is singular (dgttrf info {info})")
+
+    def __call__(self, z: np.ndarray, forcing: np.ndarray | None = None) -> np.ndarray:
+        lower, diag, upper = self._explicit
+        rhs = z * diag
+        rhs[:, 1:] += lower * z[:, :-1]
+        rhs[:, :-1] += upper * z[:, 1:]
+        if forcing is not None:
+            rhs += forcing
+        x, _ = dgttrs(*self._lu, rhs.T, overwrite_b=True)
+        return x.T
+
+
 def _initial_paths(z0: np.ndarray, shape: Tuple[int, int]) -> np.ndarray:
     z0 = np.asarray(z0, dtype=float)
     if z0.ndim == 1:
@@ -128,19 +172,23 @@ def simulate_she(
     identical noise realization (one-force coupling) and both results are
     returned.  The two solutions run as one stacked ensemble that sees each
     noise draw twice, so the first result equals the uncoupled run.
+
+    The ``RNG_CHUNK``-path chunks run in a pool of min(chunks, usable CPUs)
+    threads; each writes only its own slices of the outputs.
     """
     n = cfg.n
     starts = [z0] if paired_z0 is None else [z0, paired_z0]
     copies = len(starts)
     z_all = np.stack([_initial_paths(z, (cfg.n_paths, n + 1)) for z in starts])
 
-    cn = CrankNicolson(robin_laplacian(n, params.u, params.v), cfg.dt)
+    step = _TridiagonalStep(robin_laplacian(n, params.u, params.v), cfg.dt)
     noise_scale = np.sqrt(cfg.dt / cfg.dx)
     saves = cfg.save_step_indices()
     snaps = {t: np.empty_like(z_all) for t in saves.values()}
     lost = np.zeros(z_all.shape[:2], dtype=bool)
 
-    for chunk_idx, start in enumerate(range(0, cfg.n_paths, RNG_CHUNK)):
+    def run_chunk(chunk_idx: int) -> None:
+        start = chunk_idx * RNG_CHUNK
         stop = min(start + RNG_CHUNK, cfg.n_paths)
         rng = _noise_stream(cfg.seed, chunk_idx)
         z = z_all[:, start:stop].reshape(-1, n + 1)
@@ -151,13 +199,17 @@ def simulate_she(
             if k > 0 and cfg.noise:
                 rng.standard_normal(out=noise[0])
                 noise[1:] = noise[0]
-                z = cn.step_with_forcing(z.T, (z * eta * noise_scale).T).T
+                z = step(z, z * eta * noise_scale)
             elif k > 0:
-                z = cn.step(z.T).T
+                z = step(z)
             chunk_lost |= np.any(z <= 0, axis=1)
             if k in saves:
                 snaps[saves[k]][:, start:stop] = z.reshape(copies, -1, n + 1)
         lost[:, start:stop] = chunk_lost.reshape(copies, -1)
+
+    n_chunks = -(-cfg.n_paths // RNG_CHUNK)
+    with ThreadPoolExecutor(min(n_chunks, _usable_cpus())) as pool:
+        list(pool.map(run_chunk, range(n_chunks)))  # re-raises a chunk's exception
 
     results = tuple(
         SheResult({t: s[c] for t, s in snaps.items()}, lost[c], cfg, params)

@@ -203,17 +203,15 @@ class TestSolver:
     def test_criterion_09_stationarity_with_control(self):
         from openkpz import harness
 
-        rep = harness.stationarity_experiment(
-            0.5, -0.5, n_samples=1000, t_final=1.0, dx=1.0 / 64, seed=0
-        )
-        p_vals = rep.statistics["p_values"]
         from openkpz.stationary import sample_bm_drift
 
         wrong_ref = sample_bm_drift(2.5, 1.0 / 64, 1000, seed=99)
-        control = harness.stationarity_experiment(
+        # one evolved ensemble, KS-tested against the true and the wrong law
+        rep, control = harness.stationarity_experiment(
             0.5, -0.5, n_samples=1000, t_final=1.0, dx=1.0 / 64, seed=0,
-            reference=wrong_ref, label="wrong-law control",
+            wrong_laws={"wrong-law control": wrong_ref},
         )
+        p_vals = rep.statistics["p_values"]
         ok = rep.passed and not control.passed
         detail = ("p=" + "/".join(f"{v:.3f}" for v in p_vals.values())
                   + f" vs threshold {TOL['ks_alpha_bonferroni']:.4f}; control "

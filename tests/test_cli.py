@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from openkpz.cli import main
@@ -123,6 +124,17 @@ class TestSampleStationary:
         meta = json.loads((tmp_path / "stationary_meta.json").read_text())
         assert meta["config"]["normalization_samples"] == 300
 
+    @pytest.mark.parametrize("u, v, recorded", [(0.5, -0.5, False), (1, 1, True)])
+    def test_config_records_only_options_the_sampler_reads(self, tmp_path, u, v, recorded):
+        assert run(["--out-dir", tmp_path, "sample-stationary", "--u", u, "--v", v,
+                    "--dx", 0.0625, "--n-samples", 20, "--burn-in", 20, "--thinning", 1,
+                    "--normalization-samples", 300]) == 0
+        meta = json.loads((tmp_path / "stationary_meta.json").read_text())
+        header = (tmp_path / "stationary_samples.csv").read_text().splitlines()[0]
+        for config in (meta["config"], json.loads(header[len("# config: "):])):
+            for key in ("rho", "burn_in", "thinning", "normalization_samples"):
+                assert (key in config) == recorded, key
+
     def test_exact_sampler_for_zero_sum(self, tmp_path):
         assert run(["--out-dir", tmp_path, "sample-stationary", "--u", 0.5,
                     "--v", -0.5, "--dx", 0.0625, "--n-samples", 20]) == 0
@@ -146,6 +158,20 @@ class TestExperiment:
                     "--v", 0, "--t-final", 0.125, "--dx", 0.03125]) == 0
         payload = json.loads((tmp_path / "experiment_coupling.json").read_text())
         assert "distance_curve" in payload["statistics"]
+
+    def test_lost_positivity_is_numerical_failure_exit_3(self, tmp_path, capsys, monkeypatch):
+        from openkpz import harness
+        from openkpz.shesolver import SheResult
+
+        def lost_path(z0, params, cfg, paired_z0=None):
+            return SheResult({}, np.array([True]), cfg, params)
+
+        monkeypatch.setattr(harness, "simulate_she", lost_path)
+        code = run(["--out-dir", tmp_path, "experiment", "ergodic", "--u", 0.5,
+                    "--v", -0.5, "--t-final", 0.5, "--dx", 0.0625])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("numerical failure: the long path lost")
+        assert not (tmp_path / "experiment_ergodic.json").exists()
 
     def test_ergodic_path_too_short_for_batch_means_exit_2(self, tmp_path, capsys):
         code = run(["--seed", 4, "--out-dir", tmp_path, "experiment", "ergodic", "--u", 0.5,

@@ -51,14 +51,15 @@ class TestDeterministicLimit:
         z = res.snapshots[0.0625]
         assert np.max(np.abs(z - 1.0)) < 1e-12
 
-    def test_matches_semigroup_oracle(self):
-        cfg = SimConfig(dx=1.0 / 64, t_final=0.25, n_paths=1, noise=False)
+    @pytest.mark.parametrize("n_paths", [1, 600])  # 600 paths span two RNG chunks
+    def test_matches_semigroup_oracle(self, n_paths):
+        cfg = SimConfig(dx=1.0 / 64, t_final=0.25, n_paths=n_paths, noise=False)
         params = BoundaryParams(1.0, 0.0)
         x = np.linspace(0, 1, cfg.n + 1)
         z0 = 1.0 + 0.3 * np.cos(np.pi * x)
         res = simulate_she(z0, params, cfg)
         oracle = shesolver.robin_semigroup_apply(z0, params, cfg.dx, 0.25)
-        assert np.max(np.abs(res.snapshots[0.25][0] - oracle)) < 1e-12
+        assert np.max(np.abs(res.snapshots[0.25] - oracle)) < 1e-12
 
     def test_oracle_rejects_dx_that_does_not_divide_one(self):
         # 1/0.03 is not an integer: the grid of 34 values and dt = dx^2/2
@@ -111,6 +112,37 @@ class TestNoise:
             alone = simulate_she(z0, params, cfg)
             assert np.array_equal(pair.snapshots[cfg.t_final], alone.snapshots[cfg.t_final])
             assert np.array_equal(pair.positivity_lost, alone.positivity_lost)
+
+
+class TestThreads:
+    @pytest.mark.parametrize("case", ["1100 paths", "coupled pair", "no noise"])
+    def test_bit_identical_for_any_thread_count(self, monkeypatch, case):
+        # 1100 paths make three RNG chunks, so 1, 2 and 3 threads each split
+        # them differently.  On the coarse dx = 1/4 grid some paths of every
+        # chunk lose positivity, and saving every step lets the flags be
+        # checked against the snapshots themselves.
+        steps = 32
+        cfg = SimConfig(dx=1.0 / 4, t_final=1.0, n_paths=1100, seed=9,
+                        noise=case != "no noise",
+                        save_times=tuple(k / steps for k in range(1, steps + 1)))
+        params = BoundaryParams(1.0, 0.0)
+        z0 = 1.0 + 0.5 * np.cos(np.pi * np.linspace(0, 1, cfg.n + 1))
+        paired = np.ones(cfg.n + 1) if case == "coupled pair" else None
+        runs = []
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(shesolver, "_usable_cpus", lambda: threads)
+            out = simulate_she(z0, params, cfg, paired_z0=paired)
+            runs.append(out if paired is not None else (out,))
+        for res in runs[0]:
+            nonpositive = np.any([np.any(z <= 0, axis=1) for z in res.snapshots.values()],
+                                 axis=0)
+            assert np.array_equal(res.positivity_lost, nonpositive)
+            assert nonpositive.any() == (case != "no noise")
+        for run in runs[1:]:
+            for got, want in zip(run, runs[0]):
+                assert np.array_equal(got.positivity_lost, want.positivity_lost)
+                for t, z in want.snapshots.items():
+                    assert np.array_equal(got.snapshots[t], z)
 
 
 class TestHopfCole:
