@@ -1,12 +1,12 @@
 """Unified command line: verify-algebra | kernel | constant-a | simulate |
-sample-stationary | experiment.
+sample-stationary | experiment {stationarity, ergodic, coupling}.
 
-Configuration comes from an INI file (section per subcommand) overridden by
-explicit flags; every artifact embeds the fully resolved configuration and
-seed and contains no timestamps, so a rerun with the same seed is
-byte-identical.  Exit codes: 0 success, 1 verification mismatch, 2
-configuration error, 3 numerical failure (such as a path that lost
-positivity).
+Options come from an INI file section ([experiment.<name>] per experiment)
+overridden by flags; a flag or key that no run of the command reads is
+rejected.  Every artifact embeds the options its run read and the seed, and
+no timestamps, so a rerun with the same seed is byte-identical.  Exit codes:
+0 success, 1 verification mismatch, 2 configuration error, 3 numerical
+failure (such as a path that lost positivity).
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ EXIT_VERIFICATION = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-# Per subcommand: option -> default.  Each option is an INI key of that name
-# and a flag --the-name of the default's type.  The master seed is shared.
+# Per INI section (section experiment.<name> is command "experiment <name>"):
+# option -> default.  Each option is an INI key of that name and a flag
+# --the-name of the default's type.  The master seed is shared.
 OPTIONS: Dict[str, Dict] = {
     "kernel": {"kind": "neumann", "t": 0.1, "grid": 32, "images": 20, "u": 0.5, "v": 0.5},
     "constant-a": {"time_radius": 1.0, "space_radius": 1.0, "cells": 256},
@@ -53,14 +54,20 @@ OPTIONS: Dict[str, Dict] = {
         "thinning": McmcConfig.thinning,
         "normalization_samples": 20000,
     },
-    "experiment": {
-        "u": 0.5,
-        "v": -0.5,
-        "n_samples": 1000,
-        "t_final": 1.0,
-        "dx": 1.0 / 64,
-        "functional": "endpoint",
-    },
+    "experiment.stationarity": {"u": 0.5, "v": -0.5, "n_samples": 1000, "t_final": 1.0,
+                                "dx": 1.0 / 64},
+    "experiment.ergodic": {"u": 0.5, "v": -0.5, "functional": "endpoint", "t_final": 1.0,
+                           "dx": 1.0 / 64},
+    "experiment.coupling": {"u": 0.5, "v": -0.5, "t_final": 1.0, "dx": 1.0 / 64},
+}
+# Per kernel kind and sampler: the options it reads, which with the seed are
+# all that its artifacts record.
+READS = {
+    "neumann": ("kind", "t", "grid", "images"),
+    "robin": ("kind", "t", "grid", "u", "v"),
+    "gauss": ("kind", "t", "grid"),
+    "brownian-with-drift": ("u", "v", "dx", "n_samples"),
+    "pcn-mcmc": tuple(OPTIONS["sample-stationary"]),
 }
 CHOICES = {"kind": ("neumann", "robin", "gauss")}
 
@@ -71,7 +78,7 @@ class ConfigError(Exception):
 
 def _resolve(args: argparse.Namespace, section: str) -> Dict:
     """defaults < config-file section < explicit flags; unknown keys rejected."""
-    defaults = {**OPTIONS[args.command], "seed": 0}
+    defaults = {**OPTIONS[section], "seed": 0}
     resolved = dict(defaults)
     config_path = getattr(args, "config", None)
     if config_path:
@@ -155,6 +162,7 @@ def cmd_kernel(args) -> int:
 
     resolved = _resolve(args, "kernel")
     kind = resolved["kind"]
+    resolved = {key: resolved[key] for key in (*READS[kind], "seed")}
     t = resolved["t"]
     n = resolved["grid"]
     xs = np.linspace(0.0, 1.0, n + 1)
@@ -237,29 +245,22 @@ def cmd_sample_stationary(args) -> int:
     from openkpz import stationary
 
     resolved = _resolve(args, "sample-stationary")
-    u, v, dx = resolved["u"], resolved["v"], resolved["dx"]
-    seed = resolved["seed"]
-    if abs(u + v) < 1e-12:
-        # the exact sampler reads none of the pCN and normalisation options
-        resolved = {key: value for key, value in resolved.items()
-                    if key not in ("rho", "burn_in", "thinning", "normalization_samples")}
+    u, v, dx, seed = resolved["u"], resolved["v"], resolved["dx"], resolved["seed"]
+    sampler = "brownian-with-drift" if stationary.exact_sampler(u, v) else "pcn-mcmc"
+    resolved = {key: resolved[key] for key in (*READS[sampler], "seed")}
+    if sampler == "brownian-with-drift":
         samples = stationary.sample_bm_drift(u, dx, resolved["n_samples"], seed)
-        sidecar = {"sampler": "brownian-with-drift", "config": resolved}
+        sidecar = {"sampler": sampler, "config": resolved}
     else:
-        cfg = McmcConfig(
-            rho=resolved["rho"],
-            burn_in=resolved["burn_in"],
-            thinning=resolved["thinning"],
-            n_samples=resolved["n_samples"],
-            seed=seed,
-        )
+        chain = ("rho", "burn_in", "thinning", "n_samples")
+        cfg = McmcConfig(seed=seed, **{key: resolved[key] for key in chain})
         result = stationary.sample_stationary_mcmc(u, v, cfg, dx)
         z_est, z_se = stationary.estimate_normalization(
             u, v, dx, resolved["normalization_samples"], seed + 1
         )
         samples = result.samples
         sidecar = {
-            "sampler": "pcn-mcmc",
+            "sampler": sampler,
             "acceptance_rate": result.acceptance_rate,
             "autocorr_time": result.autocorr_time,
             "normalization": {"estimate": z_est, "se": z_se},
@@ -279,24 +280,14 @@ def cmd_experiment(args) -> int:
     from openkpz import harness
 
     resolved = _resolve(args, f"experiment.{args.name}")
-    u, v = resolved["u"], resolved["v"]
-    dx = resolved["dx"]
-    seed = resolved["seed"]
-    t_final = resolved["t_final"]
     if args.name == "stationarity":
-        report = harness.stationarity_experiment(
-            u, v, n_samples=resolved["n_samples"], t_final=t_final, dx=dx, seed=seed
-        )
+        report = harness.stationarity_experiment(**resolved)
     elif args.name == "ergodic":
-        report = harness.ergodic_average(
-            u, v, functional=resolved["functional"], t_final=t_final, dx=dx, seed=seed
-        )
+        report = harness.ergodic_average(**resolved)
     else:  # coupling
-        n = grid_size(dx)
-        x = np.linspace(0.0, 1.0, n + 1)
-        report = harness.coupling_experiment(
-            u, v, np.zeros(n + 1), np.sin(np.pi * x), t_final=t_final, dx=dx, seed=seed
-        )
+        x = np.linspace(0.0, 1.0, grid_size(resolved["dx"]) + 1)
+        report = harness.coupling_experiment(h0_a=np.zeros_like(x), h0_b=np.sin(np.pi * x),
+                                             **resolved)
     out = _out_dir(args)
     payload = report.to_dict()
     payload["config"] = resolved
@@ -330,17 +321,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("verify-algebra", parents=[common],
                    help="recompute and check the four golden tables")
+    experiments = sub.add_parser(
+        "experiment", parents=[common], help="statistical experiment with JSON report"
+    ).add_subparsers(dest="name", required=True)
     helps = {
         "kernel": "emit kernel values as CSV",
         "constant-a": "quadrature of the boundary constant a",
         "simulate": "Monte Carlo SHE ensemble statistics",
         "sample-stationary": "stationary-measure samples",
-        "experiment": "statistical experiment with JSON report",
     }
-    for command, options in OPTIONS.items():
-        p = sub.add_parser(command, parents=[common], help=helps[command])
-        if command == "experiment":
-            p.add_argument("name", choices=("stationarity", "ergodic", "coupling"))
+    for section, options in OPTIONS.items():
+        command, _, name = section.partition(".")
+        p = (experiments if name else sub).add_parser(
+            name or command, parents=[common], help=helps.get(section)
+        )
         for key, default in options.items():
             p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
                            choices=CHOICES.get(key))

@@ -22,13 +22,16 @@ from openkpz.shesolver import (
 )
 from openkpz.stationary import (
     McmcConfig,
+    exact_sampler,
     sample_bm_drift,
     sample_stationary_mcmc,
 )
 
 MARGINAL_POINTS = (0.25, 0.5, 0.75, 1.0)
 KS_ALPHA = 0.01  # family-wise level, Bonferroni-split across marginals
+KS_MIN_SAMPLES = 50  # per side, for the asymptotic KS p-value
 BATCHES = 20  # batch means for the standard error of a time average
+CHECKPOINTS = 8  # times along [0, t_final] at which a coupling run records D(t)
 
 
 @dataclass
@@ -70,7 +73,7 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> Tuple[float, float]:
 
     a = np.asarray(a)
     b = np.asarray(b)
-    if len(a) < 50 or len(b) < 50:
+    if len(a) < KS_MIN_SAMPLES or len(b) < KS_MIN_SAMPLES:
         raise ValueError("ks_two_sample needs at least 50 samples per side")
     res = stats.ks_2samp(a, b, method="asymp")
     return float(res.statistic), float(res.pvalue)
@@ -78,7 +81,7 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> Tuple[float, float]:
 
 def _initial_ensemble(u: float, v: float, n_samples: int, dx: float, seed: int) -> np.ndarray:
     """Anchored stationary samples h with h(0) = 0, shape (n_samples, n+1)."""
-    if abs(u + v) < 1e-12:
+    if exact_sampler(u, v):
         return sample_bm_drift(u, dx, n_samples, seed)
     return sample_stationary_mcmc(u, v, McmcConfig(n_samples=n_samples, seed=seed), dx).samples
 
@@ -107,6 +110,8 @@ def stationarity_experiment(
     demonstrates it at any horizon (the dynamics relax wrong starts, never
     wrong references).
     """
+    if n_samples < KS_MIN_SAMPLES:
+        raise ValueError(f"n_samples = {n_samples}; the KS test needs at least {KS_MIN_SAMPLES}")
     drawn = _initial_ensemble(u, v, 2 * n_samples, dx, seed)
     h0 = drawn[n_samples:] if initial is None else np.asarray(initial, dtype=float)
 
@@ -116,6 +121,9 @@ def stationarity_experiment(
     )
     result = simulate_she(np.exp(h0), BoundaryParams(u, v), cfg)
     h_t = anchor(hopf_cole(result.valid(t_final)))
+    if len(h_t) < KS_MIN_SAMPLES:
+        raise RuntimeError(f"positivity exclusion left {len(h_t)} of {len(h0)} paths, "
+                           f"below the KS test's {KS_MIN_SAMPLES}; refine the grid")
 
     n = grid_size(dx)
     per_marginal = KS_ALPHA / len(MARGINAL_POINTS)
@@ -166,12 +174,12 @@ FUNCTIONALS: Dict[str, Callable[[np.ndarray, float], np.ndarray]] = {
 }
 
 
-def batch_means_se(series: np.ndarray, n_batches: int = BATCHES) -> float:
-    if len(series) < n_batches:
-        raise ValueError(f"{len(series)} samples cannot fill {n_batches} batch means")
-    usable = (len(series) // n_batches) * n_batches
-    batches = series[:usable].reshape(n_batches, -1).mean(axis=1)
-    return float(batches.std(ddof=1) / np.sqrt(n_batches))
+def batch_means_se(series: np.ndarray) -> float:
+    if len(series) < BATCHES:
+        raise ValueError(f"{len(series)} samples cannot fill {BATCHES} batch means")
+    usable = (len(series) // BATCHES) * BATCHES
+    batches = series[:usable].reshape(BATCHES, -1).mean(axis=1)
+    return float(batches.std(ddof=1) / np.sqrt(BATCHES))
 
 
 def ergodic_average(
@@ -243,7 +251,6 @@ def coupling_experiment(
     t_final: float = 1.0,
     dx: float = 1.0 / 32,
     seed: int = 0,
-    n_checkpoints: int = 8,
 ) -> TestReport:
     """Evolve two initial states under the same noise; report D(t) decay.
 
@@ -254,27 +261,21 @@ def coupling_experiment(
     h0_b = np.asarray(h0_b, dtype=float)
     dt = default_dt(dx)
     steps = time_steps(t_final, dt)
-    ks = sorted({max(1, round(steps * i / n_checkpoints)) for i in range(1, n_checkpoints + 1)})
+    ks = sorted({max(1, round(steps * i / CHECKPOINTS)) for i in range(1, CHECKPOINTS + 1)})
     save_times = tuple(k * dt for k in ks)
     cfg = SimConfig(dx=dx, t_final=t_final, n_paths=1, seed=seed, save_times=save_times)
     res_a, res_b = simulate_she(
         np.exp(h0_a)[None, :], BoundaryParams(u, v), cfg, paired_z0=np.exp(h0_b)[None, :]
     )
-    d0 = float(np.max(np.abs(anchor(h0_a) - anchor(h0_b))))
-    curve = {
-        "0.0": d0,
-        **{
-            f"{t:.6g}": float(
-                np.max(
-                    np.abs(
-                        anchor(hopf_cole(res_a.snapshots[t][0]))
-                        - anchor(hopf_cole(res_b.snapshots[t][0]))
-                    )
-                )
-            )
-            for t in save_times
-        },
-    }
+
+    def distance(h_a: np.ndarray, h_b: np.ndarray) -> float:
+        return float(np.max(np.abs(anchor(h_a) - anchor(h_b))))
+
+    d0 = distance(h0_a, h0_b)
+    curve = {"0.0": d0}
+    for t in save_times:
+        curve[f"{t:.6g}"] = distance(hopf_cole(res_a.snapshots[t][0]),
+                                     hopf_cole(res_b.snapshots[t][0]))
     return TestReport(
         experiment="coupling",
         parameters={"u": u, "v": v, "t_final": t_final, "dx": dx},

@@ -21,6 +21,9 @@ from scipy.special import erf
 
 from openkpz.grid import time_steps
 
+SPECTRAL_MODES = 200  # eigenmodes in the spectral Neumann oracle
+RANNACHER_STEPS = 2  # CN steps replaced by implicit-Euler half-step pairs
+
 
 def gauss_kernel(t, x):
     """Whole-line heat kernel (2*pi*t)^(-1/2) exp(-x^2/(2t)) for t > 0."""
@@ -53,12 +56,12 @@ def neumann_kernel(t, x, y, M: int = 20) -> Tuple[np.ndarray, float]:
     return total, neumann_tail_bound(float(np.min(t)), M)
 
 
-def neumann_kernel_spectral(t, x, y, kmax: int = 200) -> np.ndarray:
+def neumann_kernel_spectral(t, x, y) -> np.ndarray:
     """Eigenfunction-expansion oracle: 1 + 2 sum e^{-k^2 pi^2 t/2} cos cos."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     total = np.ones(np.broadcast(x, y).shape, dtype=float)
-    for k in range(1, kmax + 1):
+    for k in range(1, SPECTRAL_MODES + 1):
         lam = math.exp(-(k * k) * math.pi * math.pi * t / 2.0)
         if lam == 0.0:
             break
@@ -118,12 +121,11 @@ class RannacherPropagator:
     second order.
     """
 
-    def __init__(self, L: sparse.spmatrix, dt: float, startup_steps: int = 2):
+    def __init__(self, L: sparse.spmatrix, dt: float):
         self.cn = CrankNicolson(L, dt)
-        self.startup_steps = startup_steps
 
     def advance(self, z: np.ndarray, n_steps: int) -> np.ndarray:
-        startup = min(self.startup_steps, n_steps)
+        startup = min(RANNACHER_STEPS, n_steps)
         # an implicit-Euler half-step solves with the CN matrix I - dt/2 L
         half_step = self.cn._solver.solve
         for _ in range(startup):
@@ -131,9 +133,7 @@ class RannacherPropagator:
         return self.cn.advance(z, n_steps - startup)
 
 
-def robin_kernel(
-    t: float, u: float, v: float, n: int = 256, dt: float | None = None
-) -> np.ndarray:
+def robin_kernel(t: float, u: float, v: float, n: int = 256) -> np.ndarray:
     """Robin heat kernel matrix K[i, j] ~ P_t(x_i, y_j) on the n+1 grid.
 
     The semigroup acts through trapezoid weights: (P_t f)(x_i) =
@@ -141,8 +141,7 @@ def robin_kernel(
     """
     if t <= 0:
         raise ValueError("robin_kernel requires t > 0")
-    if dt is None:
-        dt = t / max(64, int(round(t * 8 * n)))
+    dt = t / max(64, int(round(t * 8 * n)))
     n_steps = time_steps(t, dt)
     weights = np.full(n + 1, 1.0 / n)
     weights[0] *= 0.5

@@ -38,26 +38,30 @@ def check_regime(u: float, v: float) -> None:
     )
 
 
+def exact_sampler(u: float, v: float) -> bool:
+    """u + v = 0: sample_bm_drift is exact; elsewhere use sample_stationary_mcmc."""
+    return abs(u + v) < 1e-12
+
+
+def _grid_paths(increments: np.ndarray) -> np.ndarray:
+    """One grid path from 0 per row of increments, shape (rows, n+1)."""
+    out = np.zeros((len(increments), increments.shape[1] + 1))
+    np.cumsum(increments, axis=1, out=out[:, 1:])
+    return out
+
+
 def sample_bm_drift(u: float, dx: float, n_samples: int, seed: int) -> np.ndarray:
     """Standard Brownian motion with drift u on the grid, h(0) = 0.
 
     Together with v = -u this is the anchored stationary field.
     """
-    n = grid_size(dx)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    increments = rng.normal(u * dx, np.sqrt(dx), size=(n_samples, n))
-    h = np.zeros((n_samples, n + 1))
-    np.cumsum(increments, axis=1, out=h[:, 1:])
-    return h
+    return _grid_paths(rng.normal(u * dx, np.sqrt(dx), size=(n_samples, grid_size(dx))))
 
 
 def brownian_half(dx: float, n_samples: int, rng: np.random.Generator) -> np.ndarray:
     """Brownian motion of variance 1/2 on the grid, path(0) = 0."""
-    n = grid_size(dx)
-    increments = rng.normal(0.0, np.sqrt(dx / 2.0), size=(n_samples, n))
-    out = np.zeros((n_samples, n + 1))
-    np.cumsum(increments, axis=1, out=out[:, 1:])
-    return out
+    return _grid_paths(rng.normal(0.0, np.sqrt(dx / 2.0), size=(n_samples, grid_size(dx))))
 
 
 def rn_log_weight(beta: np.ndarray, u: float, v: float, dx: float) -> np.ndarray:

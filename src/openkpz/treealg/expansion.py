@@ -24,9 +24,10 @@ from openkpz.treealg.trees import ONE, X1, tree_degree
 _W_BOUND = tree_degree(basis_tree("<1d1>"))
 
 _DPSI = TreeCombination.single(PSI)
+PICARD_ITERATIONS = 10  # more than the truncated iteration needs to stabilize
 
 
-def picard_W(max_iter: int = 10) -> TreeCombination:
+def picard_W() -> TreeCombination:
     """Fixed point of the truncated mild equation, as a tree expansion.
 
     Returns w*1 + wtilde*X1 + (1/2)<2d1> + (1/4)<2d2d1> + (a10+wtilde/2)<1d1>.
@@ -36,7 +37,7 @@ def picard_W(max_iter: int = 10) -> TreeCombination:
     a10 = SYMBOLS["a10"]
     seed = TreeCombination({ONE: w, X1: wt})
     current = seed
-    for _ in range(max_iter):
+    for _ in range(PICARD_ITERATIONS):
         dw = current.deriv()
         quad = dw.mul(dw) + dw.mul(_DPSI) + _DPSI.mul(_DPSI)
         linear = (dw + _DPSI).scale(a10)

@@ -142,6 +142,45 @@ class TestSampleStationary:
         assert meta["sampler"] == "brownian-with-drift"
 
 
+class TestOptionsRead:
+    @pytest.mark.parametrize("argv, artifact, reads", [
+        (["kernel", "--kind", "neumann", "--grid", 4], "kernel_neumann",
+         {"kind", "t", "grid", "images"}),
+        (["kernel", "--kind", "robin", "--grid", 4], "kernel_robin",
+         {"kind", "t", "grid", "u", "v"}),
+        (["kernel", "--kind", "gauss", "--grid", 4], "kernel_gauss", {"kind", "t", "grid"}),
+        (["experiment", "stationarity", "--n-samples", 60, "--t-final", 0.0625,
+          "--dx", 0.0625], "experiment_stationarity", {"u", "v", "n_samples", "t_final", "dx"}),
+        (["experiment", "ergodic", "--functional", "max", "--dx", 0.0625],
+         "experiment_ergodic", {"u", "v", "functional", "t_final", "dx"}),
+        (["experiment", "coupling", "--t-final", 0.125, "--dx", 0.0625],
+         "experiment_coupling", {"u", "v", "t_final", "dx"}),
+    ])
+    def test_config_records_exactly_the_options_read(self, tmp_path, argv, artifact, reads):
+        assert run(argv + ["--seed", 2, "--out-dir", tmp_path]) == 0
+        header = (tmp_path / f"{artifact}.csv").read_text().splitlines()[0]
+        configs = [json.loads(header[len("# config: "):])]
+        if argv[0] == "experiment":
+            configs.append(json.loads((tmp_path / f"{artifact}.json").read_text())["config"])
+        for config in configs:
+            assert set(config) == reads | {"seed"}
+            assert config["seed"] == 2
+
+    def test_flag_the_experiment_does_not_read_exits_2(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["--out-dir", tmp_path, "experiment", "coupling", "--functional", "max"])
+        assert exc.value.code == 2
+        assert not list(tmp_path.iterdir())
+
+    def test_ini_key_the_experiment_does_not_read_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[experiment.coupling]\nfunctional = max\n")
+        assert run(["--config", cfg, "--out-dir", tmp_path, "experiment", "coupling"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown key 'functional' in section [experiment.coupling]" in err
+        assert not (tmp_path / "experiment_coupling.json").exists()
+
+
 class TestExperiment:
     @pytest.mark.parametrize("flags", [["--seed", 7]])
     def test_stationarity_rerun_byte_identical(self, tmp_path, flags):
@@ -158,6 +197,36 @@ class TestExperiment:
                     "--v", 0, "--t-final", 0.125, "--dx", 0.03125]) == 0
         payload = json.loads((tmp_path / "experiment_coupling.json").read_text())
         assert "distance_curve" in payload["statistics"]
+
+    def test_too_few_ks_samples_is_config_error_before_any_draw(self, tmp_path, capsys,
+                                                                monkeypatch):
+        from openkpz import harness
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sampled or simulated before checking n_samples")
+
+        monkeypatch.setattr(harness, "_initial_ensemble", forbidden)
+        monkeypatch.setattr(harness, "simulate_she", forbidden)
+        code = run(["--out-dir", tmp_path, "experiment", "stationarity", "--n-samples", 49])
+        assert code == 2
+        assert "n_samples = 49" in capsys.readouterr().err
+
+    def test_positivity_exclusion_below_ks_minimum_is_exit_3(self, tmp_path, capsys,
+                                                            monkeypatch):
+        from openkpz import harness
+        from openkpz.shesolver import SheResult
+
+        def mostly_lost(z0, params, cfg, paired_z0=None):
+            lost = np.arange(cfg.n_paths) >= 49
+            return SheResult({cfg.t_final: np.ones_like(z0)}, lost, cfg, params)
+
+        monkeypatch.setattr(harness, "simulate_she", mostly_lost)
+        code = run(["--out-dir", tmp_path, "experiment", "stationarity", "--n-samples", 60,
+                    "--t-final", 0.0625, "--dx", 0.0625])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: positivity exclusion left 49 of 60 paths")
+        assert not (tmp_path / "experiment_stationarity.json").exists()
 
     def test_lost_positivity_is_numerical_failure_exit_3(self, tmp_path, capsys, monkeypatch):
         from openkpz import harness
