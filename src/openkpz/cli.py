@@ -254,10 +254,10 @@ def cmd_sample_stationary(args) -> int:
     else:
         chain = ("rho", "burn_in", "thinning", "n_samples")
         cfg = McmcConfig(seed=seed, **{key: resolved[key] for key in chain})
-        result = stationary.sample_stationary_mcmc(u, v, cfg, dx)
         z_est, z_se = stationary.estimate_normalization(
             u, v, dx, resolved["normalization_samples"], seed + 1
         )
+        result = stationary.sample_stationary_mcmc(u, v, cfg, dx)
         samples = result.samples
         sidecar = {
             "sampler": sampler,

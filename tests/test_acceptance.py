@@ -268,7 +268,8 @@ class TestSolver:
         worst = max(gaps.values())
         ok = worst < TOL["moment_sigmas"]
         report(10, "u=v=1 stationary moments agree across MCMC, IS, and SPDE routes",
-               ok, ", ".join(f"{k} {v:.2f} sigma" for k, v in gaps.items()))
+               ok, ", ".join(f"{k} {v:.2f} sigma" for k, v in gaps.items())
+               + f"; IS ESS {iw['ess']:.0f}, max weight {iw['max_weight']:.2e}")
 
     def test_criterion_11_pcn_reference_covariance(self):
         from openkpz import harness, stationary

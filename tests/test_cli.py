@@ -135,6 +135,21 @@ class TestSampleStationary:
             for key in ("rho", "burn_in", "thinning", "normalization_samples"):
                 assert (key in config) == recorded, key
 
+    def test_single_normalization_sample_is_config_error_before_any_draw(self, tmp_path,
+                                                                        capsys, monkeypatch):
+        # one path has no standard error, so the sidecar would hold "se": NaN
+        from openkpz import stationary
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("drew paths before checking normalization_samples")
+
+        monkeypatch.setattr(stationary, "brownian_half", forbidden)
+        code = run(["--out-dir", tmp_path, "sample-stationary", "--u", 1, "--v", 1,
+                    "--normalization-samples", 1])
+        assert code == 2
+        assert "n_samples = 1" in capsys.readouterr().err
+        assert not (tmp_path / "stationary_meta.json").exists()
+
     def test_exact_sampler_for_zero_sum(self, tmp_path):
         assert run(["--out-dir", tmp_path, "sample-stationary", "--u", 0.5,
                     "--v", -0.5, "--dx", 0.0625, "--n-samples", 20]) == 0

@@ -1,14 +1,18 @@
 """Unit tests for the stationary-measure samplers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from openkpz import stationary
 from openkpz.stationary import (
+    BLOCK_ROWS,
     McmcConfig,
     RegimeError,
     check_regime,
     empirical_laplace,
+    estimate_normalization,
     importance_sampling_moments,
     rn_log_weight,
     sample_bm_drift,
@@ -63,6 +67,14 @@ class TestRnWeight:
         beta = np.zeros((1, 65))
         assert abs(rn_log_weight(beta, 1.0, 1.0, dx)[0]) < 1e-12
 
+    @pytest.mark.parametrize("shape", [(65,), (7, 65), (3, 17)])
+    def test_bitwise_equal_to_trapezoid(self, shape):
+        beta = np.random.default_rng(5).normal(0.0, 0.3, size=shape)
+        u, v, dx = 0.5, 1.5, 1.0 / (shape[-1] - 1)
+        integral = np.trapezoid(np.exp(-2.0 * beta), dx=dx, axis=-1)
+        want = -2.0 * v * beta[..., -1] - (u + v) * np.log(integral)
+        assert np.asarray(rn_log_weight(beta, u, v, dx)).tobytes() == want.tobytes()
+
 
 class TestMcmc:
     def test_zero_exponents_reference_covariance(self):
@@ -109,6 +121,93 @@ class TestImportanceSampling:
     def test_ess_reported(self):
         out = importance_sampling_moments(1.0, 1.0, 1.0 / 16, 5000, seed=1, x_indices=[16])
         assert 0 < out["ess"] <= 5000
+
+    def test_max_weight_reported(self):
+        out = importance_sampling_moments(1.0, 1.0, 1.0 / 16, 5000, seed=1, x_indices=[16])
+        # sum w_i^2 <= max w_i for normalised weights, so 1/ess <= max_weight <= 1
+        assert 1.0 / out["ess"] <= out["max_weight"] <= 1.0
+
+
+def _full_draw_reference(u, v, dx, n_samples, seed, x_indices):
+    """The oracles as full-size draws: every reference path held at once."""
+    def generator():
+        return np.random.default_rng(np.random.SeedSequence([seed]))
+
+    def brownian_half(n, rng):
+        out = np.zeros((n, round(1 / dx) + 1))
+        np.cumsum(rng.normal(0.0, np.sqrt(dx / 2.0), size=(n, round(1 / dx))), axis=1,
+                  out=out[:, 1:])
+        return out
+
+    def log_weight(beta):
+        integral = np.trapezoid(np.exp(-2.0 * beta), dx=dx, axis=-1)
+        return -2.0 * v * beta[..., -1] - (u + v) * np.log(integral)
+
+    rng = generator()
+    beta = brownian_half(n_samples, rng)
+    w_paths = brownian_half(n_samples, rng)
+    h = (w_paths + beta)[:, list(x_indices)]
+    logw = log_weight(beta)
+    logw -= logw.max()
+    weights = np.exp(logw)
+    weights /= weights.sum()
+    ess = 1.0 / float(np.sum(weights**2))
+    mean = weights @ h
+    var = weights @ (h - mean) ** 2
+    moments = {
+        "mean": mean,
+        "var": var,
+        "mean_se": np.sqrt(weights @ (h - mean) ** 2 / ess),
+        "var_se": np.sqrt(weights @ ((h - mean) ** 2 - var) ** 2 / ess),
+        "ess": ess,
+        "max_weight": float(weights.max()),
+    }
+    # the normalization draws beta alone from a fresh generator of the same seed
+    z_weights = np.exp(log_weight(brownian_half(n_samples, generator())))
+    z = (float(z_weights.mean()), float(z_weights.std(ddof=1) / np.sqrt(n_samples)))
+    return moments, z
+
+
+class TestStreamedOracles:
+    """Row-block draws give the full-size draw's numbers, bit for bit."""
+
+    @pytest.mark.parametrize("n_samples", [2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                           2 * BLOCK_ROWS + 5])
+    @pytest.mark.parametrize("u, v, dx, x_indices", [(1.0, 1.0, 1.0 / 16, [0, 8, 16]),
+                                                     (2.0, -0.5, 1.0 / 32, [32, 5])])
+    def test_bitwise_equal_to_full_draw(self, n_samples, u, v, dx, x_indices):
+        seed = 40 + n_samples
+        want, want_z = _full_draw_reference(u, v, dx, n_samples, seed, x_indices)
+        got = importance_sampling_moments(u, v, dx, n_samples, seed, x_indices)
+        assert set(got) == set(want)
+        for key in want:
+            assert np.asarray(got[key]).tobytes() == np.asarray(want[key]).tobytes(), key
+        got_z = estimate_normalization(u, v, dx, n_samples, seed)
+        assert np.asarray(got_z).tobytes() == np.asarray(want_z).tobytes()
+
+    @pytest.mark.parametrize("n_samples", [1, 0, -3])
+    def test_degenerate_sample_count_rejected_before_drawing(self, n_samples, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("drew paths before checking n_samples")
+
+        monkeypatch.setattr(stationary, "brownian_half", forbidden)
+        with pytest.raises(ValueError, match=f"n_samples = {n_samples}"):
+            estimate_normalization(1.0, 1.0, 1.0 / 16, n_samples, seed=0)
+        with pytest.raises(ValueError, match=f"n_samples = {n_samples}"):
+            importance_sampling_moments(1.0, 1.0, 1.0 / 16, n_samples, seed=0, x_indices=[16])
+
+    def test_memory_bounded_by_blocks(self):
+        # 100 000 paths at dx = 1/64: a full-size draw peaks near 150-200 MB
+        for call in (lambda: importance_sampling_moments(1.0, 1.0, 1.0 / 64, 100_000, seed=0,
+                                                         x_indices=[32, 64]),
+                     lambda: estimate_normalization(1.0, 1.0, 1.0 / 64, 100_000, seed=0)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 32 * 2**20, peak / 2**20
 
 
 class TestLaplace:
