@@ -7,9 +7,13 @@ the default step is the solver's stability bound dt = dx^2/2.
 
 from __future__ import annotations
 
+import math
+
 
 def grid_size(dx: float) -> int:
-    """Number of cells n = 1/dx; dx must divide 1."""
+    """Number of cells n = 1/dx; dx must be positive and divide 1."""
+    if not 0 < dx < math.inf:
+        raise ValueError(f"dx must be positive and finite (dx={dx})")
     n = round(1.0 / dx)
     if abs(n * dx - 1.0) > 1e-12:
         raise ValueError(f"dx must divide 1 exactly (dx={dx})")
@@ -17,7 +21,8 @@ def grid_size(dx: float) -> int:
 
 
 def default_dt(dx: float) -> float:
-    """The stability bound dx^2/2, used as the default time step."""
+    """The stability bound dx^2/2 of a valid grid, used as the default time step."""
+    grid_size(dx)
     return 0.5 * dx**2
 
 

@@ -264,9 +264,8 @@ def coupling_experiment(
     ks = sorted({max(1, round(steps * i / CHECKPOINTS)) for i in range(1, CHECKPOINTS + 1)})
     save_times = tuple(k * dt for k in ks)
     cfg = SimConfig(dx=dx, t_final=t_final, n_paths=1, seed=seed, save_times=save_times)
-    res_a, res_b = simulate_she(
-        np.exp(h0_a)[None, :], BoundaryParams(u, v), cfg, paired_z0=np.exp(h0_b)[None, :]
-    )
+    # same seed, same config: both runs draw the identical noise
+    res_a, res_b = (simulate_she(np.exp(h0), BoundaryParams(u, v), cfg) for h0 in (h0_a, h0_b))
 
     def distance(h_a: np.ndarray, h_b: np.ndarray) -> float:
         return float(np.max(np.abs(anchor(h_a) - anchor(h_b))))

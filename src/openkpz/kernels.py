@@ -141,6 +141,8 @@ def robin_kernel(t: float, u: float, v: float, n: int = 256) -> np.ndarray:
     """
     if t <= 0:
         raise ValueError("robin_kernel requires t > 0")
+    if n < 1:
+        raise ValueError(f"robin_kernel needs a grid of n >= 1 cells (n={n})")
     dt = t / max(64, int(round(t * 8 * n)))
     n_steps = time_steps(t, dt)
     weights = np.full(n + 1, 1.0 / n)
@@ -280,6 +282,8 @@ def constant_a(rho: Mollifier | None = None, n: int = 256) -> Tuple[float, float
     Tensor-product midpoint quadrature at n and 2n cells with Richardson
     extrapolation; returns (value, error_estimate).
     """
+    if n < 1:
+        raise ValueError(f"constant_a needs n >= 1 quadrature cells (n={n})")
     if rho is None:
         rho = Mollifier()
     mass = _midpoint_mass(rho, 2048)

@@ -11,6 +11,8 @@ with a fixed chunk size of paths.  The chunks run concurrently, one thread
 each up to the number of usable CPUs, and every chunk steps only its own
 paths with its own stream through a step that holds no shared mutable state,
 so results are bit-identical for a given seed whatever the thread count.
+The one-force coupling is two runs with the same seed, same config: the
+noise does not depend on the initial data.
 The step solves with LAPACK's tridiagonal LU (``dgttrf``/``dgttrs``), which
 calls no BLAS and releases the GIL, so the threads overlap.
 """
@@ -149,73 +151,54 @@ class _TridiagonalStep:
         return x.T
 
 
-def _initial_paths(z0: np.ndarray, shape: Tuple[int, int]) -> np.ndarray:
-    z0 = np.asarray(z0, dtype=float)
-    if z0.ndim == 1:
-        z0 = np.broadcast_to(z0, shape)
-    if z0.shape != shape:
-        raise ValueError(f"initial data must have shape {shape}")
-    if np.any(z0 <= 0):
-        raise ValueError("initial data must be strictly positive")
-    return z0
-
-
-def simulate_she(
-    z0: np.ndarray,
-    params: BoundaryParams,
-    cfg: SimConfig,
-    paired_z0: np.ndarray | None = None,
-) -> SheResult | Tuple[SheResult, SheResult]:
+def simulate_she(z0: np.ndarray, params: BoundaryParams, cfg: SimConfig) -> SheResult:
     """Evolve n_paths copies of the SHE from z0 under independent noise.
 
-    If ``paired_z0`` is given, a second solution is evolved from it with the
-    identical noise realization (one-force coupling) and both results are
-    returned.  The two solutions run as one stacked ensemble that sees each
-    noise draw twice, so the first result equals the uncoupled run.
+    The noise depends only on ``cfg`` (its seed, the chunk index and the
+    chunk's shape), so two runs with the same config from different starts
+    see the identical noise realization: that is the one-force coupling.
 
     The ``RNG_CHUNK``-path chunks run in a pool of min(chunks, usable CPUs)
-    threads; each writes only its own slices of the outputs.
+    threads; each writes only its own slices of the outputs.  A path is flagged
+    if a value is ever <= 0: a running ``fmin`` (which skips NaN, as ``<= 0``
+    does) keeps each value's minimum, read once per chunk.
     """
     n = cfg.n
-    starts = [z0] if paired_z0 is None else [z0, paired_z0]
-    copies = len(starts)
-    z_all = np.stack([_initial_paths(z, (cfg.n_paths, n + 1)) for z in starts])
-
+    z_all = np.asarray(z0, dtype=float)
+    if z_all.ndim == 1:
+        z_all = np.broadcast_to(z_all, (cfg.n_paths, n + 1))
+    if z_all.shape != (cfg.n_paths, n + 1):
+        raise ValueError(f"initial data must have shape {(cfg.n_paths, n + 1)}")
+    if np.any(z_all <= 0):
+        raise ValueError("initial data must be strictly positive")
     step = _TridiagonalStep(robin_laplacian(n, params.u, params.v), cfg.dt)
     noise_scale = np.sqrt(cfg.dt / cfg.dx)
     saves = cfg.save_step_indices()
-    snaps = {t: np.empty_like(z_all) for t in saves.values()}
-    lost = np.zeros(z_all.shape[:2], dtype=bool)
+    snaps = {t: np.empty(z_all.shape) for t in saves.values()}
+    lost = np.zeros(cfg.n_paths, dtype=bool)
 
     def run_chunk(chunk_idx: int) -> None:
         start = chunk_idx * RNG_CHUNK
         stop = min(start + RNG_CHUNK, cfg.n_paths)
         rng = _noise_stream(cfg.seed, chunk_idx)
-        z = z_all[:, start:stop].reshape(-1, n + 1)
-        chunk_lost = np.zeros(len(z), dtype=bool)
-        noise = np.empty((copies, stop - start, n + 1))
-        eta = noise.reshape(z.shape)  # every copy sees the same draw
+        z = z_all[start:stop]
+        low = np.full(z.shape, np.inf)
+        eta = np.empty(z.shape)
         for k in range(cfg.n_steps + 1):
             if k > 0 and cfg.noise:
-                rng.standard_normal(out=noise[0])
-                noise[1:] = noise[0]
+                rng.standard_normal(out=eta)
                 z = step(z, z * eta * noise_scale)
             elif k > 0:
                 z = step(z)
-            chunk_lost |= np.any(z <= 0, axis=1)
+            np.fmin(low, z, out=low)
             if k in saves:
-                snaps[saves[k]][:, start:stop] = z.reshape(copies, -1, n + 1)
-        lost[:, start:stop] = chunk_lost.reshape(copies, -1)
+                snaps[saves[k]][start:stop] = z
+        lost[start:stop] = low.min(axis=1) <= 0
 
     n_chunks = -(-cfg.n_paths // RNG_CHUNK)
     with ThreadPoolExecutor(min(n_chunks, _usable_cpus())) as pool:
         list(pool.map(run_chunk, range(n_chunks)))  # re-raises a chunk's exception
-
-    results = tuple(
-        SheResult({t: s[c] for t, s in snaps.items()}, lost[c], cfg, params)
-        for c in range(copies)
-    )
-    return results[0] if paired_z0 is None else results
+    return SheResult(snaps, lost, cfg, params)
 
 
 def robin_semigroup_apply(

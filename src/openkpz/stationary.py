@@ -57,6 +57,8 @@ def sample_bm_drift(u: float, dx: float, n_samples: int, seed: int) -> np.ndarra
 
     Together with v = -u this is the anchored stationary field.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples = {n_samples}: need at least 1 path")
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     return _grid_paths(rng.normal(u * dx, np.sqrt(dx), size=(n_samples, grid_size(dx))))
 
@@ -203,8 +205,13 @@ def estimate_normalization(
     """Monte Carlo normalization: mean of exp(log weight) over iid paths, O(N) + one block."""
     check_regime(u, v)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    weights = np.exp(_reference_pass(u, v, dx, n_samples, rng)[0])
-    return float(weights.mean()), float(weights.std(ddof=1) / np.sqrt(n_samples))
+    logw = _reference_pass(u, v, dx, n_samples, rng)[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises below
+        weights = np.exp(logw)
+        estimate, se = float(weights.mean()), float(weights.std(ddof=1) / np.sqrt(n_samples))
+    if not np.isfinite([estimate, se]).all():
+        raise RuntimeError(f"normalization overflows at u + v = {u + v}: ({estimate}, {se})")
+    return estimate, se
 
 
 def importance_sampling_moments(

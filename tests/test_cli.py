@@ -157,6 +157,34 @@ class TestSampleStationary:
         assert meta["sampler"] == "brownian-with-drift"
 
 
+class TestDegenerateInput:
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--dx", 0], "dx must be positive and finite (dx=0.0)"),
+        (["simulate", "--dx", -0.25], "dx must be positive and finite (dx=-0.25)"),
+        (["sample-stationary", "--dx", 0], "dx must be positive and finite (dx=0.0)"),
+        (["experiment", "coupling", "--dx", 0], "dx must be positive and finite (dx=0.0)"),
+        (["experiment", "ergodic", "--dx", -0.25], "dx must be positive and finite (dx=-0.25)"),
+        (["kernel", "--kind", "robin", "--grid", 0], "(n=0)"),
+        (["constant-a", "--cells", 0], "(n=0)"),
+        (["sample-stationary", "--u", 0.5, "--v", -0.5, "--n-samples", 0], "n_samples = 0"),
+    ], ids=["simulate-dx-0", "simulate-dx-negative", "sample-stationary-dx-0",
+            "coupling-dx-0", "ergodic-dx-negative", "robin-grid-0", "constant-a-cells-0",
+            "bm-drift-n-samples-0"])
+    def test_config_error_names_the_value(self, tmp_path, capsys, argv, message):
+        assert run(["--out-dir", tmp_path / "out", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_normalization_overflow_is_numerical_failure(self, tmp_path, capsys):
+        code = run(["--out-dir", tmp_path / "out", "sample-stationary", "--u", 400,
+                    "--v", 400, "--dx", 0.0625, "--n-samples", 10, "--burn-in", 10,
+                    "--thinning", 1, "--normalization-samples", 1000])
+        assert code == 3
+        assert "u + v = 800" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestOptionsRead:
     @pytest.mark.parametrize("argv, artifact, reads", [
         (["kernel", "--kind", "neumann", "--grid", 4], "kernel_neumann",
@@ -231,7 +259,7 @@ class TestExperiment:
         from openkpz import harness
         from openkpz.shesolver import SheResult
 
-        def mostly_lost(z0, params, cfg, paired_z0=None):
+        def mostly_lost(z0, params, cfg):
             lost = np.arange(cfg.n_paths) >= 49
             return SheResult({cfg.t_final: np.ones_like(z0)}, lost, cfg, params)
 
@@ -247,7 +275,7 @@ class TestExperiment:
         from openkpz import harness
         from openkpz.shesolver import SheResult
 
-        def lost_path(z0, params, cfg, paired_z0=None):
+        def lost_path(z0, params, cfg):
             return SheResult({}, np.array([True]), cfg, params)
 
         monkeypatch.setattr(harness, "simulate_she", lost_path)

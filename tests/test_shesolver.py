@@ -1,9 +1,12 @@
 """Unit tests for the Monte Carlo SHE solver and Hopf-Cole utilities."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from openkpz import shesolver
+from openkpz.grid import grid_size
 from openkpz.shesolver import BoundaryParams, SimConfig, simulate_she
 
 
@@ -24,6 +27,11 @@ class TestConfig:
         cfg = SimConfig(dx=1.0 / 32, t_final=0.5, save_times=(0.1234,))
         with pytest.raises(ValueError):
             cfg.save_step_indices()
+
+    @pytest.mark.parametrize("dx", [0.0, -0.25, float("nan"), float("inf")])
+    def test_grid_rejects_dx_that_is_not_positive_and_finite(self, dx):
+        with pytest.raises(ValueError, match=rf"positive and finite \(dx={dx}\)"):
+            grid_size(dx)
 
     def test_horizon_shorter_than_one_step_rejected(self):
         cfg = SimConfig(dx=1.0 / 16, t_final=1e-10)
@@ -90,32 +98,36 @@ class TestNoise:
         assert res.exclusion_rate < 0.01
 
     def test_coupled_pair_shares_noise(self):
+        # the one-force coupling: two runs with one config from different starts
         cfg = SimConfig(dx=1.0 / 32, t_final=0.0625, n_paths=30, seed=3)
         params = BoundaryParams(0.0, 0.0)
-        z0a = np.ones((cfg.n_paths, cfg.n + 1))
-        z0b = np.tile(1.0 + 0.1 * np.linspace(0, 1, cfg.n + 1), (cfg.n_paths, 1))
-        res_a, res_b = simulate_she(z0a, params, cfg, paired_z0=z0b)
+        res_a = simulate_she(np.ones(cfg.n + 1), params, cfg)
+        res_b = simulate_she(1.0 + 0.1 * np.linspace(0, 1, cfg.n + 1), params, cfg)
         d = np.abs(np.log(res_a.snapshots[0.0625]) - np.log(res_b.snapshots[0.0625]))
         # shared noise keeps the pair far closer than independent paths would be
         assert d.max() < 0.2
 
-    def test_coupled_pair_equals_separate_runs(self):
-        # 600 paths span two RNG chunks; the stacked pair must reproduce
-        # each uncoupled run bit for bit
-        cfg = SimConfig(dx=1.0 / 16, t_final=4 * 0.5 / 16**2, n_paths=600, seed=11)
-        params = BoundaryParams(1.0, 0.0)
-        x = np.linspace(0, 1, cfg.n + 1)
-        z0a = np.ones(cfg.n + 1)
-        z0b = np.tile(1.0 + 0.5 * np.cos(np.pi * x), (cfg.n_paths, 1))
-        res_a, res_b = simulate_she(z0a, params, cfg, paired_z0=z0b)
-        for pair, z0 in ((res_a, z0a), (res_b, z0b)):
-            alone = simulate_she(z0, params, cfg)
-            assert np.array_equal(pair.snapshots[cfg.t_final], alone.snapshots[cfg.t_final])
-            assert np.array_equal(pair.positivity_lost, alone.positivity_lost)
+
+class TestPositivity:
+    def test_flag_survives_nan_after_a_nonpositive_value(self, monkeypatch):
+        # NaN compares false with 0, so a path that only ever holds NaN stays
+        # unflagged, but one that reached -1 before turning NaN stays flagged
+        steps = itertools.count()
+
+        def fake_step(self, z, forcing=None):
+            out = np.ones_like(z)
+            out[0] = -1.0 if next(steps) == 0 else np.nan
+            out[1] = np.nan
+            return out
+
+        monkeypatch.setattr(shesolver._TridiagonalStep, "__call__", fake_step)
+        cfg = SimConfig(dx=1.0 / 8, t_final=4 * 0.5 / 8**2, n_paths=3, noise=False)
+        res = simulate_she(_ones(cfg), BoundaryParams(0.5, 0.5), cfg)
+        assert res.positivity_lost.tolist() == [True, False, False]
 
 
 class TestThreads:
-    @pytest.mark.parametrize("case", ["1100 paths", "coupled pair", "no noise"])
+    @pytest.mark.parametrize("case", ["1100 paths", "no noise"])
     def test_bit_identical_for_any_thread_count(self, monkeypatch, case):
         # 1100 paths make three RNG chunks, so 1, 2 and 3 threads each split
         # them differently.  On the coarse dx = 1/4 grid some paths of every
@@ -127,22 +139,18 @@ class TestThreads:
                         save_times=tuple(k / steps for k in range(1, steps + 1)))
         params = BoundaryParams(1.0, 0.0)
         z0 = 1.0 + 0.5 * np.cos(np.pi * np.linspace(0, 1, cfg.n + 1))
-        paired = np.ones(cfg.n + 1) if case == "coupled pair" else None
         runs = []
         for threads in (1, 2, 3):
             monkeypatch.setattr(shesolver, "_usable_cpus", lambda: threads)
-            out = simulate_she(z0, params, cfg, paired_z0=paired)
-            runs.append(out if paired is not None else (out,))
-        for res in runs[0]:
-            nonpositive = np.any([np.any(z <= 0, axis=1) for z in res.snapshots.values()],
-                                 axis=0)
-            assert np.array_equal(res.positivity_lost, nonpositive)
-            assert nonpositive.any() == (case != "no noise")
-        for run in runs[1:]:
-            for got, want in zip(run, runs[0]):
-                assert np.array_equal(got.positivity_lost, want.positivity_lost)
-                for t, z in want.snapshots.items():
-                    assert np.array_equal(got.snapshots[t], z)
+            runs.append(simulate_she(z0, params, cfg))
+        want = runs[0]
+        nonpositive = np.any([np.any(z <= 0, axis=1) for z in want.snapshots.values()], axis=0)
+        assert np.array_equal(want.positivity_lost, nonpositive)
+        assert nonpositive.any() == (case != "no noise")
+        for got in runs[1:]:
+            assert np.array_equal(got.positivity_lost, want.positivity_lost)
+            for t, z in want.snapshots.items():
+                assert np.array_equal(got.snapshots[t], z)
 
 
 class TestHopfCole:

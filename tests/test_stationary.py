@@ -210,6 +210,13 @@ class TestStreamedOracles:
             assert peak < 32 * 2**20, peak / 2**20
 
 
+class TestNormalizationOverflow:
+    @pytest.mark.parametrize("u", [200.0, 400.0])  # se = inf, then (inf, nan)
+    def test_nonfinite_estimate_is_numerical_failure(self, u):
+        with pytest.raises(RuntimeError, match=rf"u \+ v = {2 * u}"):
+            estimate_normalization(u, u, 1.0 / 16, 1000, 0)
+
+
 class TestLaplace:
     def test_coefficient_guards(self):
         samples = np.zeros((100, 17))
