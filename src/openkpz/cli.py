@@ -165,6 +165,8 @@ def cmd_kernel(args) -> int:
     resolved = {key: resolved[key] for key in (*READS[kind], "seed")}
     t = resolved["t"]
     n = resolved["grid"]
+    if n < 1:
+        raise ConfigError(f"--grid must be at least 1 (n={n})")
     xs = np.linspace(0.0, 1.0, n + 1)
     if kind == "gauss":
         rows = [(t, x, 0.0, float(kernels.gauss_kernel(t, x)), 0.0) for x in xs]

@@ -86,6 +86,26 @@ def _initial_ensemble(u: float, v: float, n_samples: int, dx: float, seed: int) 
     return sample_stationary_mcmc(u, v, McmcConfig(n_samples=n_samples, seed=seed), dx).samples
 
 
+def _evolve(h0: np.ndarray, u: float, v: float, dx: float, seed: int,
+            times: Tuple[float, ...], min_paths: int = 1) -> Tuple[np.ndarray, float]:
+    """Run the SHE from exp(h0) to times[-1]; read the anchored log-fields at ``times``.
+
+    ``h0`` is one start (n+1,) or one per path.  Returns the fields of the paths
+    that kept positivity, stacked as (len(times), kept, n+1), and the exclusion
+    rate; fewer than ``min_paths`` kept paths is a numerical failure.
+    """
+    h0 = np.atleast_2d(h0)
+    cfg = SimConfig(dx=dx, t_final=times[-1], n_paths=len(h0), seed=seed, save_times=times)
+    result = simulate_she(np.exp(h0), BoundaryParams(u, v), cfg)
+    kept = ~result.positivity_lost
+    if kept.sum() < min_paths:
+        raise RuntimeError(f"positivity exclusion left {kept.sum()} of {len(h0)} paths, "
+                           f"fewer than the {min_paths} needed; refine the grid")
+    # popped, so that each snapshot is freed once it is in the stack
+    h = hopf_cole(np.stack([result.snapshots.pop(t) for t in times])[:, kept])
+    return anchor(h), result.exclusion_rate
+
+
 def stationarity_experiment(
     u: float,
     v: float,
@@ -116,14 +136,7 @@ def stationarity_experiment(
     h0 = drawn[n_samples:] if initial is None else np.asarray(initial, dtype=float)
 
     t_final = snap_time(t_final, default_dt(dx))
-    cfg = SimConfig(
-        dx=dx, t_final=t_final, n_paths=len(h0), seed=seed + 1, save_times=(t_final,)
-    )
-    result = simulate_she(np.exp(h0), BoundaryParams(u, v), cfg)
-    h_t = anchor(hopf_cole(result.valid(t_final)))
-    if len(h_t) < KS_MIN_SAMPLES:
-        raise RuntimeError(f"positivity exclusion left {len(h_t)} of {len(h0)} paths, "
-                           f"below the KS test's {KS_MIN_SAMPLES}; refine the grid")
+    (h_t,), exclusion_rate = _evolve(h0, u, v, dx, seed + 1, (t_final,), KS_MIN_SAMPLES)
 
     n = grid_size(dx)
     per_marginal = KS_ALPHA / len(MARGINAL_POINTS)
@@ -149,7 +162,7 @@ def stationarity_experiment(
             statistics={
                 "ks": ks_stats,
                 "p_values": p_values,
-                "exclusion_rate": result.exclusion_rate,
+                "exclusion_rate": exclusion_rate,
             },
             thresholds={
                 "family_alpha": KS_ALPHA,
@@ -197,21 +210,16 @@ def ergodic_average(
         raise ValueError(f"unknown functional {functional!r}; choose from {sorted(FUNCTIONALS)}")
     F = FUNCTIONALS[functional]
     dt = default_dt(dx)
+    t_final = snap_time(t_final, dt)
     saved_steps = range(sample_stride, time_steps(t_final, dt) + 1, sample_stride)
     if len(saved_steps) < BATCHES:
         raise ValueError(
             f"t_final = {t_final} gives {len(saved_steps)} samples along the path; "
             f"the batch-means error needs at least {BATCHES}"
         )
-    h0 = _initial_ensemble(u, v, 1, dx, seed)[0]
-    save_times = tuple(k * dt for k in saved_steps)
-    cfg = SimConfig(dx=dx, t_final=t_final, n_paths=1, seed=seed + 1, save_times=save_times)
-    result = simulate_she(np.exp(h0), BoundaryParams(u, v), cfg)
-    if result.positivity_lost[0]:
-        raise RuntimeError("the long path lost positivity; refine the grid")
-    series = np.array(
-        [F(anchor(hopf_cole(result.snapshots[t][0])), dx) for t in save_times]
-    )
+    h0 = _initial_ensemble(u, v, 1, dx, seed)
+    h, _ = _evolve(h0, u, v, dx, seed + 1, tuple(k * dt for k in saved_steps))
+    series = F(h[:, 0], dx)
     time_avg = float(series.mean())
     se_time = batch_means_se(series)
 
@@ -223,13 +231,7 @@ def ergodic_average(
     z = (time_avg - ref_mean) / se if se > 0 else 0.0
     return TestReport(
         experiment="ergodic_average",
-        parameters={
-            "u": u,
-            "v": v,
-            "functional": functional,
-            "t_final": t_final,
-            "dx": dx,
-        },
+        parameters={"u": u, "v": v, "functional": functional, "t_final": t_final, "dx": dx},
         statistics={
             "time_average": time_avg,
             "ensemble_mean": ref_mean,
@@ -257,24 +259,16 @@ def coupling_experiment(
     Exploratory (no pass/fail): D(t) = max_j |anchored difference| at
     checkpoints; passed is None.
     """
-    h0_a = np.asarray(h0_a, dtype=float)
-    h0_b = np.asarray(h0_b, dtype=float)
     dt = default_dt(dx)
+    t_final = snap_time(t_final, dt)
     steps = time_steps(t_final, dt)
     ks = sorted({max(1, round(steps * i / CHECKPOINTS)) for i in range(1, CHECKPOINTS + 1)})
     save_times = tuple(k * dt for k in ks)
-    cfg = SimConfig(dx=dx, t_final=t_final, n_paths=1, seed=seed, save_times=save_times)
     # same seed, same config: both runs draw the identical noise
-    res_a, res_b = (simulate_she(np.exp(h0), BoundaryParams(u, v), cfg) for h0 in (h0_a, h0_b))
-
-    def distance(h_a: np.ndarray, h_b: np.ndarray) -> float:
-        return float(np.max(np.abs(anchor(h_a) - anchor(h_b))))
-
-    d0 = distance(h0_a, h0_b)
+    (h_a, _), (h_b, _) = (_evolve(h0, u, v, dx, seed, save_times) for h0 in (h0_a, h0_b))
+    d0 = float(np.max(np.abs(anchor(h0_a) - anchor(h0_b))))
     curve = {"0.0": d0}
-    for t in save_times:
-        curve[f"{t:.6g}"] = distance(hopf_cole(res_a.snapshots[t][0]),
-                                     hopf_cole(res_b.snapshots[t][0]))
+    curve.update(zip((f"{t:.6g}" for t in save_times), np.abs(h_a - h_b).max(axis=(1, 2))))
     return TestReport(
         experiment="coupling",
         parameters={"u": u, "v": v, "t_final": t_final, "dx": dx},

@@ -75,6 +75,8 @@ def robin_laplacian(n: int, u: float, v: float) -> sparse.csr_matrix:
     Ghost elimination: Z_{-1} = Z_1 - 2 dx (u - 1/2) Z_0 and
     Z_{n+1} = Z_{n-1} - 2 dx (v - 1/2) Z_n.
     """
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise ValueError(f"boundary slopes must be finite (u={u}, v={v})")
     dx = 1.0 / n
     main = np.full(n + 1, -2.0)
     lower = np.ones(n)

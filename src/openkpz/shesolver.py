@@ -169,7 +169,7 @@ def simulate_she(z0: np.ndarray, params: BoundaryParams, cfg: SimConfig) -> SheR
         z_all = np.broadcast_to(z_all, (cfg.n_paths, n + 1))
     if z_all.shape != (cfg.n_paths, n + 1):
         raise ValueError(f"initial data must have shape {(cfg.n_paths, n + 1)}")
-    if np.any(z_all <= 0):
+    if not np.all(z_all > 0):
         raise ValueError("initial data must be strictly positive")
     step = _TridiagonalStep(robin_laplacian(n, params.u, params.v), cfg.dt)
     noise_scale = np.sqrt(cfg.dt / cfg.dx)
@@ -202,12 +202,11 @@ def simulate_she(z0: np.ndarray, params: BoundaryParams, cfg: SimConfig) -> SheR
 
 
 def robin_semigroup_apply(
-    z0: np.ndarray, params: BoundaryParams, dx: float, t: float, dt: float | None = None
+    z0: np.ndarray, params: BoundaryParams, dx: float, t: float
 ) -> np.ndarray:
     """Deterministic oracle: the noise-free scheme applied to z0."""
-    dt = default_dt(dx) if dt is None else dt
-    cn = CrankNicolson(robin_laplacian(grid_size(dx), params.u, params.v), dt)
-    return cn.advance(np.asarray(z0, dtype=float), time_steps(t, dt))
+    cn = CrankNicolson(robin_laplacian(grid_size(dx), params.u, params.v), default_dt(dx))
+    return cn.advance(np.asarray(z0, dtype=float), time_steps(t, cn.dt))
 
 
 def hopf_cole(z: np.ndarray) -> np.ndarray:

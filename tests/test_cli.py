@@ -167,9 +167,18 @@ class TestDegenerateInput:
         (["kernel", "--kind", "robin", "--grid", 0], "(n=0)"),
         (["constant-a", "--cells", 0], "(n=0)"),
         (["sample-stationary", "--u", 0.5, "--v", -0.5, "--n-samples", 0], "n_samples = 0"),
+        (["kernel", "--kind", "robin", "--grid", 4, "--u", "nan"], "(u=nan, v=0.5)"),
+        (["simulate", "--u", "nan", "--dx", 0.25, "--t-final", 0.25, "--paths", 3],
+         "(u=nan, v=0.0)"),
+        (["experiment", "coupling", "--u", "nan", "--dx", 0.0625, "--t-final", 0.25],
+         "(u=nan, v=-0.5)"),
+        (["kernel", "--kind", "neumann", "--grid", 0], "--grid must be at least 1 (n=0)"),
+        (["kernel", "--kind", "gauss", "--grid", -1], "--grid must be at least 1 (n=-1)"),
+        (["kernel", "--kind", "neumann", "--grid", -2], "--grid must be at least 1 (n=-2)"),
     ], ids=["simulate-dx-0", "simulate-dx-negative", "sample-stationary-dx-0",
             "coupling-dx-0", "ergodic-dx-negative", "robin-grid-0", "constant-a-cells-0",
-            "bm-drift-n-samples-0"])
+            "bm-drift-n-samples-0", "robin-u-nan", "simulate-u-nan", "coupling-u-nan",
+            "neumann-grid-0", "gauss-grid-negative", "neumann-grid-negative"])
     def test_config_error_names_the_value(self, tmp_path, capsys, argv, message):
         assert run(["--out-dir", tmp_path / "out", *argv]) == 2
         err = capsys.readouterr().err
@@ -282,8 +291,37 @@ class TestExperiment:
         code = run(["--out-dir", tmp_path, "experiment", "ergodic", "--u", 0.5,
                     "--v", -0.5, "--t-final", 0.5, "--dx", 0.0625])
         assert code == 3
-        assert capsys.readouterr().err.startswith("numerical failure: the long path lost")
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: positivity exclusion left 0 of 1 paths")
         assert not (tmp_path / "experiment_ergodic.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["stationarity", "--n-samples", 60, "--t-final", 0.0625],
+        ["ergodic", "--t-final", 0.5],
+        ["coupling", "--t-final", 0.125],
+    ], ids=lambda argv: argv[0])
+    def test_every_experiment_losing_every_path_exits_3(self, tmp_path, capsys, monkeypatch,
+                                                        argv):
+        from openkpz import harness
+        from openkpz.shesolver import SheResult
+
+        def all_lost(z0, params, cfg):
+            return SheResult({}, np.ones(cfg.n_paths, dtype=bool), cfg, params)
+
+        monkeypatch.setattr(harness, "simulate_she", all_lost)
+        code = run(["--out-dir", tmp_path / "out", "experiment", *argv, "--dx", 0.0625])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: positivity exclusion left 0 of")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["ergodic", "coupling"])
+    def test_off_grid_t_final_is_snapped_and_recorded(self, tmp_path, name):
+        # dt = 1/512 at dx = 1/16, and 1.001 = 512.512 dt snaps to 513 dt
+        assert run(["--out-dir", tmp_path, "experiment", name, "--t-final", 1.001,
+                    "--dx", 0.0625]) == 0
+        payload = json.loads((tmp_path / f"experiment_{name}.json").read_text())
+        assert payload["parameters"]["t_final"] == 513 / 512
 
     def test_ergodic_path_too_short_for_batch_means_exit_2(self, tmp_path, capsys):
         code = run(["--seed", 4, "--out-dir", tmp_path, "experiment", "ergodic", "--u", 0.5,

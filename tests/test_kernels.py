@@ -70,6 +70,11 @@ class TestRobin:
         composed = k1 @ (w[:, None] * k1)
         assert np.max(np.abs(composed - k2)) < 2e-3
 
+    @pytest.mark.parametrize("u, v", [(np.nan, 0.5), (0.5, np.inf)])
+    def test_nonfinite_slope_rejected(self, u, v):
+        with pytest.raises(ValueError, match=rf"slopes must be finite \(u={u}, v={v}\)"):
+            kernels.robin_laplacian(4, u, v)
+
 
 class TestMollifier:
     def test_unit_mass(self):

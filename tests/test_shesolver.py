@@ -125,6 +125,11 @@ class TestPositivity:
         res = simulate_she(_ones(cfg), BoundaryParams(0.5, 0.5), cfg)
         assert res.positivity_lost.tolist() == [True, False, False]
 
+    def test_nan_initial_data_rejected(self):
+        cfg = SimConfig(dx=0.25, t_final=0.25, n_paths=1)
+        with pytest.raises(ValueError, match="strictly positive"):
+            simulate_she(np.array([1.0, 1.0, np.nan, 1.0, 1.0]), BoundaryParams(0.5, 0.5), cfg)
+
 
 class TestThreads:
     @pytest.mark.parametrize("case", ["1100 paths", "no noise"])
