@@ -17,7 +17,7 @@ import csv
 import json
 import sys
 from pathlib import Path
-from typing import Dict, Sequence
+from typing import Dict, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -39,7 +39,6 @@ OPTIONS: Dict[str, Dict] = {
         "u": 0.0,
         "v": 0.0,
         "dx": 1.0 / 64,
-        "dt": 0.0,  # 0 means the stability default dx^2/2
         "t_final": 1.0,
         "paths": 100,
         "save_times": "",
@@ -61,7 +60,7 @@ OPTIONS: Dict[str, Dict] = {
     "experiment.coupling": {"u": 0.5, "v": -0.5, "t_final": 1.0, "dx": 1.0 / 64},
 }
 # Per kernel kind and sampler: the options it reads, which with the seed are
-# all that its artifacts record.
+# all that its artifacts record; an option set for another variant is rejected.
 READS = {
     "neumann": ("kind", "t", "grid", "images"),
     "robin": ("kind", "t", "grid", "u", "v"),
@@ -76,10 +75,11 @@ class ConfigError(Exception):
     pass
 
 
-def _resolve(args: argparse.Namespace, section: str) -> Dict:
-    """defaults < config-file section < explicit flags; unknown keys rejected."""
+def _resolve(args: argparse.Namespace, section: str) -> Tuple[Dict, Set[str]]:
+    """Options (defaults < config-file section < flags) and the keys set; unknown keys rejected."""
     defaults = {**OPTIONS[section], "seed": 0}
     resolved = dict(defaults)
+    explicit = set()
     config_path = getattr(args, "config", None)
     if config_path:
         parser = configparser.ConfigParser()
@@ -92,6 +92,7 @@ def _resolve(args: argparse.Namespace, section: str) -> Dict:
                 if key not in defaults:
                     raise ConfigError(f"unknown key {key!r} in section [{section}]")
                 resolved[key] = type(defaults[key])(raw)
+                explicit.add(key)
                 if key in CHOICES and resolved[key] not in CHOICES[key]:
                     raise ConfigError(
                         f"{key} = {raw!r} in section [{section}]; choose from {CHOICES[key]}"
@@ -100,7 +101,16 @@ def _resolve(args: argparse.Namespace, section: str) -> Dict:
         value = getattr(args, key, None)
         if value is not None:
             resolved[key] = value
-    return resolved
+            explicit.add(key)
+    return resolved, explicit
+
+
+def _read_by(variant: str, resolved: Dict, explicit: Set[str]) -> Dict:
+    """The options ``variant`` reads and the seed; setting any other option is an error."""
+    unread = sorted(explicit - {*READS[variant], "seed"})
+    if unread:
+        raise ConfigError(f"the {variant} variant does not read {', '.join(map(repr, unread))}")
+    return {key: resolved[key] for key in (*READS[variant], "seed")}
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -160,9 +170,9 @@ def cmd_verify_algebra(args) -> int:
 def cmd_kernel(args) -> int:
     from openkpz import kernels
 
-    resolved = _resolve(args, "kernel")
+    resolved, explicit = _resolve(args, "kernel")
     kind = resolved["kind"]
-    resolved = {key: resolved[key] for key in (*READS[kind], "seed")}
+    resolved = _read_by(kind, resolved, explicit)
     t = resolved["t"]
     n = resolved["grid"]
     if n < 1:
@@ -189,7 +199,7 @@ def cmd_kernel(args) -> int:
 def cmd_constant_a(args) -> int:
     from openkpz import kernels
 
-    resolved = _resolve(args, "constant-a")
+    resolved, _ = _resolve(args, "constant-a")
     rho = kernels.Mollifier(resolved["time_radius"], resolved["space_radius"])
     value, error = kernels.constant_a(rho, n=resolved["cells"])
     payload = {
@@ -211,22 +221,16 @@ def cmd_constant_a(args) -> int:
 def cmd_simulate(args) -> int:
     from openkpz import shesolver
 
-    resolved = _resolve(args, "simulate")
+    resolved, _ = _resolve(args, "simulate")
     dx = resolved["dx"]
-    dt = resolved["dt"] or default_dt(dx)
+    dt = default_dt(dx)
     t_final = snap_time(resolved["t_final"], dt)
     saves = (
         tuple(snap_time(float(s), dt) for s in resolved["save_times"].split(",") if s.strip())
         or (t_final,)
     )
-    cfg = shesolver.SimConfig(
-        dx=dx,
-        dt=dt,
-        t_final=t_final,
-        n_paths=resolved["paths"],
-        seed=resolved["seed"],
-        save_times=saves,
-    )
+    cfg = shesolver.SimConfig(dx=dx, t_final=t_final, n_paths=resolved["paths"],
+                              seed=resolved["seed"], save_times=saves)
     params = shesolver.BoundaryParams(resolved["u"], resolved["v"])
     result = shesolver.simulate_she(np.ones(cfg.n + 1), params, cfg)
     xs = np.linspace(0.0, 1.0, cfg.n + 1)
@@ -246,10 +250,10 @@ def cmd_simulate(args) -> int:
 def cmd_sample_stationary(args) -> int:
     from openkpz import stationary
 
-    resolved = _resolve(args, "sample-stationary")
+    resolved, explicit = _resolve(args, "sample-stationary")
     u, v, dx, seed = resolved["u"], resolved["v"], resolved["dx"], resolved["seed"]
     sampler = "brownian-with-drift" if stationary.exact_sampler(u, v) else "pcn-mcmc"
-    resolved = {key: resolved[key] for key in (*READS[sampler], "seed")}
+    resolved = _read_by(sampler, resolved, explicit)
     if sampler == "brownian-with-drift":
         samples = stationary.sample_bm_drift(u, dx, resolved["n_samples"], seed)
         sidecar = {"sampler": sampler, "config": resolved}
@@ -281,7 +285,7 @@ def cmd_sample_stationary(args) -> int:
 def cmd_experiment(args) -> int:
     from openkpz import harness
 
-    resolved = _resolve(args, f"experiment.{args.name}")
+    resolved, _ = _resolve(args, f"experiment.{args.name}")
     if args.name == "stationarity":
         report = harness.stationarity_experiment(**resolved)
     elif args.name == "ergodic":

