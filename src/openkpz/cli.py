@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import json
 import sys
+from itertools import repeat
 from pathlib import Path
-from typing import Dict, Sequence, Set, Tuple
+from typing import Dict, Iterable, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -123,12 +123,19 @@ def _write_json(path: Path, payload: Dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, resolved: Dict, columns: Sequence[str], rows) -> None:
+def _csv_line(fields: Iterable) -> str:
+    """A row as the csv module's default dialect writes it: floats by repr, "\\r\\n" after.
+    No field the commands write holds a comma, quote or line break, so none is quoted."""
+    cells = (float.__repr__(f) if isinstance(f, float) else str(f) for f in fields)
+    return ",".join(cells) + "\r\n"
+
+
+def _write_csv(path: Path, resolved: Dict, columns: Sequence[str], body: Iterable[str]) -> None:
+    """A ``# config:`` line, then the header and ``body``: text in whole rows."""
     with open(path, "w", newline="") as fh:
         fh.write("# config: " + json.dumps(resolved, sort_keys=True) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(rows)
+        fh.write(_csv_line(columns))
+        fh.writelines(body)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -179,19 +186,20 @@ def cmd_kernel(args) -> int:
         raise ConfigError(f"--grid must be at least 1 (n={n})")
     xs = np.linspace(0.0, 1.0, n + 1)
     if kind == "gauss":
-        rows = [(t, x, 0.0, float(kernels.gauss_kernel(t, x)), 0.0) for x in xs]
+        values, ys, bound = kernels.gauss_kernel(t, xs)[:, None], [0.0], 0.0
+    elif kind == "neumann":
+        values, bound = kernels.neumann_kernel(t, xs[:, None], xs[None, :], M=resolved["images"])
+        ys = xs.tolist()
     else:
-        if kind == "neumann":
-            values, bound = kernels.neumann_kernel(
-                t, xs[:, None], xs[None, :], M=resolved["images"]
-            )
-        else:
-            values, bound = kernels.robin_kernel(t, resolved["u"], resolved["v"], n=n), ""
-        rows = [
-            (t, x, y, values[i, j], bound) for i, x in enumerate(xs) for j, y in enumerate(xs)
-        ]
+        values = kernels.robin_kernel(t, resolved["u"], resolved["v"], n=n)
+        ys, bound = xs.tolist(), ""
+    # A row is (t, x, y, value, bound) and only the value is new: the rest is
+    # formatted once, and the body is made one grid row of lines at a time.
+    cells, tail = [f"{y!r}," for y in ys], "," + _csv_line([bound])
+    body = ("".join(f"{head}{y}{value!r}{tail}" for y, value in zip(cells, row.tolist()))
+            for head, row in zip((f"{t!r},{x!r}," for x in xs.tolist()), values))
     path = _out_dir(args) / f"kernel_{kind}.csv"
-    _write_csv(path, resolved, ("t", "x", "y", "value", "error_bound"), rows)
+    _write_csv(path, resolved, ("t", "x", "y", "value", "error_bound"), body)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -233,16 +241,15 @@ def cmd_simulate(args) -> int:
                               seed=resolved["seed"], save_times=saves)
     params = shesolver.BoundaryParams(resolved["u"], resolved["v"])
     result = shesolver.simulate_she(np.ones(cfg.n + 1), params, cfg)
-    xs = np.linspace(0.0, 1.0, cfg.n + 1)
+    xs = np.linspace(0.0, 1.0, cfg.n + 1).tolist()
     rows = []
     for t in sorted(result.snapshots):
         z = result.valid(t)
-        mean = z.mean(axis=0)
-        var = z.var(axis=0, ddof=1)
-        for j, x in enumerate(xs):
-            rows.append((t, x, mean[j], var[j], len(z)))
+        rows.extend(zip(repeat(t), xs, z.mean(axis=0).tolist(),
+                        z.var(axis=0, ddof=1).tolist(), repeat(len(z))))
     path = _out_dir(args) / "simulate.csv"
-    _write_csv(path, resolved, ("t", "x", "mean", "variance", "n_effective"), rows)
+    _write_csv(path, resolved, ("t", "x", "mean", "variance", "n_effective"),
+               map(_csv_line, rows))
     print(f"wrote {path} (positivity exclusion rate {result.exclusion_rate:.4f})")
     return EXIT_OK
 
@@ -275,8 +282,8 @@ def cmd_sample_stationary(args) -> int:
         }
     out = _out_dir(args)
     xs = np.linspace(0.0, 1.0, samples.shape[1])
-    rows = [tuple(row) for row in samples]
-    _write_csv(out / "stationary_samples.csv", resolved, [f"x={x:.6g}" for x in xs], rows)
+    _write_csv(out / "stationary_samples.csv", resolved, [f"x={x:.6g}" for x in xs],
+               map(_csv_line, samples.tolist()))
     _write_json(out / "stationary_meta.json", sidecar)
     print(f"wrote {out / 'stationary_samples.csv'} and sidecar")
     return EXIT_OK
@@ -305,7 +312,8 @@ def cmd_experiment(args) -> int:
             flat.extend((f"{key}.{k}", v) for k, v in sorted(value.items()))
         else:
             flat.append((key, value))
-    _write_csv(out / f"experiment_{args.name}.csv", resolved, ("statistic", "value"), flat)
+    _write_csv(out / f"experiment_{args.name}.csv", resolved, ("statistic", "value"),
+               map(_csv_line, flat))
     verdict = {None: "exploratory", True: "pass", False: "fail"}[report.passed]
     print(f"experiment {args.name}: {verdict}; wrote {out / f'experiment_{args.name}.json'}")
     return EXIT_OK if report.passed in (True, None) else EXIT_VERIFICATION

@@ -19,7 +19,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 from scipy.special import erf
 
-from openkpz.grid import time_steps
+from openkpz.grid import check_time, step_count, time_steps
 
 SPECTRAL_MODES = 200  # eigenmodes in the spectral Neumann oracle
 RANNACHER_STEPS = 2  # CN steps replaced by implicit-Euler half-step pairs
@@ -27,9 +27,8 @@ RANNACHER_STEPS = 2  # CN steps replaced by implicit-Euler half-step pairs
 
 def gauss_kernel(t, x):
     """Whole-line heat kernel (2*pi*t)^(-1/2) exp(-x^2/(2t)) for t > 0."""
+    check_time(t)
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
-        raise ValueError("gauss_kernel requires t > 0")
     x = np.asarray(x, dtype=float)
     return np.exp(-x * x / (2.0 * t)) / np.sqrt(2.0 * np.pi * t)
 
@@ -44,8 +43,7 @@ def neumann_kernel(t, x, y, M: int = 20) -> Tuple[np.ndarray, float]:
 
     Returns (value, tail_bound); the sum runs over images |m| <= M.
     """
-    if np.any(np.asarray(t) <= 0):
-        raise ValueError("neumann_kernel requires t > 0")
+    check_time(t)
     if M < 1:
         raise ValueError("image truncation M must be >= 1")
     x = np.asarray(x, dtype=float)
@@ -141,10 +139,10 @@ def robin_kernel(t: float, u: float, v: float, n: int = 256) -> np.ndarray:
     The semigroup acts through trapezoid weights: (P_t f)(x_i) =
     sum_j w_j K[i, j] f(x_j).  Second-order accurate in dt and dx.
     """
-    if t <= 0:
-        raise ValueError("robin_kernel requires t > 0")
+    check_time(t)
     if n < 1:
         raise ValueError(f"robin_kernel needs a grid of n >= 1 cells (n={n})")
+    step_count(t, 1.0 / (8 * n))  # bounds the horizon before t * 8 * n can overflow
     dt = t / max(64, int(round(t * 8 * n)))
     n_steps = time_steps(t, dt)
     weights = np.full(n + 1, 1.0 / n)

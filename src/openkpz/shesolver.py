@@ -35,17 +35,10 @@ RNG_CHUNK = 512  # paths per independent noise stream
 
 @dataclass(frozen=True)
 class BoundaryParams:
-    """Boundary slopes (u, v) and the derived transformed-equation data."""
+    """Boundary slopes (u, v)."""
 
     u: float
     v: float
-
-    @property
-    def c_uv(self) -> float:
-        """Laplace-transform domain constant C_{u,v}."""
-        if self.u <= 0 or self.u >= 1:
-            return 2.0
-        return 2.0 * self.u
 
 
 @dataclass(frozen=True)
@@ -76,9 +69,10 @@ class SimConfig:
         return time_steps(self.t_final, self.dt)
 
     def save_step_indices(self) -> Dict[int, float]:
-        out = {time_steps(t, self.dt): t for t in self.save_times or (self.t_final,)}
+        dt, n_steps = self.dt, self.n_steps
+        out = {time_steps(t, dt): t for t in self.save_times or (self.t_final,)}
         for k, t in out.items():
-            if not 0 <= k <= self.n_steps:
+            if not 0 <= k <= n_steps:
                 raise ValueError(f"save time {t} lies outside [0, t_final]")
         return out
 
@@ -202,18 +196,6 @@ def hopf_cole(z: np.ndarray) -> np.ndarray:
         idx = np.argwhere(values <= 0)[0]
         raise ValueError(f"nonpositive value at grid index {tuple(idx)}")
     return np.log(values)
-
-
-def burgers_field(h: np.ndarray, dx: float) -> np.ndarray:
-    """Cell-centered forward differences (h_{j+1} - h_j) / dx."""
-    h = np.asarray(h, dtype=float)
-    return np.diff(h, axis=-1) / dx
-
-
-def boundary_residuals(h: np.ndarray, dx: float, params: BoundaryParams):
-    """|du/dx residuals| at the two boundaries of the derived Burgers field."""
-    u_field = burgers_field(h, dx)
-    return np.abs(u_field[..., 0] - params.u), np.abs(u_field[..., -1] + params.v)
 
 
 def anchor(h: np.ndarray) -> np.ndarray:

@@ -252,24 +252,3 @@ def importance_sampling_moments(
         "max_weight": float(weights.max()),
     }
 
-
-def empirical_laplace(
-    samples: np.ndarray,
-    x_indices: Sequence[int],
-    cs: Sequence[float],
-    c_uv: float,
-) -> Tuple[float, float]:
-    """Monte Carlo multi-point Laplace functional E exp(-sum c_k h(x_k)).
-
-    The coefficients must be positive with sum below the domain constant.
-    """
-    cs = np.asarray(cs, dtype=float)
-    if np.any(cs < 0):
-        raise ValueError("Laplace coefficients must be nonnegative")
-    if cs.sum() >= c_uv:
-        raise ValueError(
-            f"sum of coefficients {cs.sum()} must be below C_uv = {c_uv}"
-        )
-    h = np.asarray(samples)[:, list(x_indices)]
-    vals = np.exp(-(h @ cs))
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))

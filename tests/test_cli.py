@@ -1,10 +1,13 @@
 """End-to-end tests for the command line interface."""
 
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
+from openkpz import cli
 from openkpz.cli import main
 
 
@@ -186,13 +189,28 @@ class TestDegenerateInput:
          "the gauss variant does not read 'images'"),
         (["sample-stationary", "--u", 0.5, "--v", -0.5, "--dx", 0.25, "--n-samples", 5,
           "--rho", 0.9], "the brownian-with-drift variant does not read 'rho'"),
+        (["kernel", "--kind", "gauss", "--t", -1, "--grid", 2], "positive and finite (t=-1.0)"),
+        (["kernel", "--kind", "gauss", "--t", "nan"], "positive and finite (t=nan)"),
+        (["kernel", "--kind", "gauss", "--t", "inf"], "positive and finite (t=inf)"),
+        (["kernel", "--kind", "neumann", "--t", 0], "positive and finite (t=0.0)"),
+        (["kernel", "--kind", "neumann", "--t", "nan"], "positive and finite (t=nan)"),
+        (["kernel", "--kind", "neumann", "--t", "inf"], "positive and finite (t=inf)"),
+        (["kernel", "--kind", "robin", "--t", -1], "positive and finite (t=-1.0)"),
+        (["kernel", "--kind", "robin", "--t", "nan"], "positive and finite (t=nan)"),
+        (["kernel", "--kind", "robin", "--t", "inf"], "positive and finite (t=inf)"),
+        (["kernel", "--kind", "robin", "--t", 1e306, "--grid", 256],
+         "time 1e+306 at dt=0.00048828125 takes inf steps > MAX_STEPS"),
+        (["simulate", "--t-final", 1e300, "--paths", 1, "--dx", 0.25],
+         "time 1e+300 at dt=0.03125 takes 3.2e+301 steps > MAX_STEPS = 100000000"),
     ], ids=["simulate-dx-0", "simulate-dx-negative", "sample-stationary-dx-0",
             "coupling-dx-0", "ergodic-dx-negative", "robin-grid-0", "constant-a-cells-0",
             "bm-drift-n-samples-0", "robin-u-nan", "simulate-u-nan", "coupling-u-nan",
             "neumann-grid-0", "gauss-grid-negative", "neumann-grid-negative",
             "simulate-t-final-negative", "simulate-t-final-0", "simulate-t-final-inf",
             "simulate-save-time-negative", "coupling-t-final-negative", "gauss-images",
-            "bm-drift-rho"])
+            "bm-drift-rho", "gauss-t-negative", "gauss-t-nan", "gauss-t-inf", "neumann-t-0",
+            "neumann-t-nan", "neumann-t-inf", "robin-t-negative", "robin-t-nan", "robin-t-inf",
+            "robin-t-overflows-step-count", "simulate-t-final-above-step-bound"])
     def test_config_error_names_the_value(self, tmp_path, capsys, argv, message):
         assert run(["--out-dir", tmp_path / "out", *argv]) == 2
         err = capsys.readouterr().err
@@ -225,6 +243,101 @@ class TestDegenerateInput:
         assert code == 3
         assert "u + v = 800" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def _csv_reference(artifact, columns, rows) -> bytes:
+    """``artifact`` as ``csv.writer`` renders ``rows``: the artifact's own config
+    line, then the header and rows in the csv module's default dialect."""
+    config_line = artifact.read_bytes().split(b"\n", 1)[0].decode()
+    buf = io.StringIO()
+    buf.write(config_line + "\n")
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+class TestCsvBytes:
+    """Every CSV artifact is byte for byte what ``csv.writer`` writes for its numpy rows."""
+
+    def test_fields_are_formatted_as_csv_writer_does(self):
+        fields = [np.float64(0.1), 0.1 + 0.2, 1e-300, 1e16, float("nan"), -float("inf"),
+                  3, np.int64(7), True, "", "x=0.015625", "distance_curve.0.0625"]
+        buf = io.StringIO()
+        csv.writer(buf).writerow(fields)
+        assert cli._csv_line(fields) == buf.getvalue()
+
+    @pytest.mark.parametrize("kind", ["neumann", "robin", "gauss"])
+    def test_kernel(self, tmp_path, kind):
+        from openkpz import kernels
+
+        flags = {"neumann": ["--images", 5], "robin": ["--u", 1.5, "--v", -0.25], "gauss": []}
+        assert run(["--out-dir", tmp_path, "kernel", "--kind", kind, "--grid", 8,
+                    "--t", 0.05, *flags[kind]]) == 0
+        t, xs = 0.05, np.linspace(0.0, 1.0, 9)
+        if kind == "gauss":
+            rows = [(t, x, 0.0, float(kernels.gauss_kernel(t, x)), 0.0) for x in xs]
+        else:
+            if kind == "neumann":
+                values, bound = kernels.neumann_kernel(t, xs[:, None], xs[None, :], M=5)
+            else:
+                values, bound = kernels.robin_kernel(t, 1.5, -0.25, n=8), ""
+            rows = [(t, x, y, values[i, j], bound)
+                    for i, x in enumerate(xs) for j, y in enumerate(xs)]
+        artifact = tmp_path / f"kernel_{kind}.csv"
+        want = _csv_reference(artifact, ("t", "x", "y", "value", "error_bound"), rows)
+        assert artifact.read_bytes() == want
+
+    def test_simulate(self, tmp_path):
+        from openkpz import shesolver
+
+        assert run(["--out-dir", tmp_path, "simulate", "--paths", 20, "--dx", 0.125,
+                    "--t-final", 0.25, "--save-times", "0.125,0.25", "--u", 0.5,
+                    "--seed", 3]) == 0
+        cfg = shesolver.SimConfig(dx=0.125, t_final=0.25, n_paths=20, seed=3,
+                                  save_times=(0.125, 0.25))
+        result = shesolver.simulate_she(np.ones(9), shesolver.BoundaryParams(0.5, 0.0), cfg)
+        rows = []
+        for t in sorted(result.snapshots):
+            z = result.valid(t)
+            mean, var = z.mean(axis=0), z.var(axis=0, ddof=1)
+            rows.extend((t, x, mean[j], var[j], len(z))
+                        for j, x in enumerate(np.linspace(0.0, 1.0, 9)))
+        artifact = tmp_path / "simulate.csv"
+        want = _csv_reference(artifact, ("t", "x", "mean", "variance", "n_effective"), rows)
+        assert artifact.read_bytes() == want
+
+    @pytest.mark.parametrize("u, v", [(0.5, -0.5), (1.0, 1.0)])
+    def test_sample_stationary(self, tmp_path, u, v):
+        from openkpz import stationary
+
+        pcn = ["--burn-in", 10, "--thinning", 2, "--normalization-samples", 100]
+        assert run(["--out-dir", tmp_path, "sample-stationary", "--u", u, "--v", v,
+                    "--dx", 0.25, "--n-samples", 6, "--seed", 4,
+                    *([] if u + v == 0 else pcn)]) == 0
+        if u + v == 0:
+            samples = stationary.sample_bm_drift(u, 0.25, 6, 4)
+        else:
+            cfg = stationary.McmcConfig(seed=4, burn_in=10, thinning=2, n_samples=6)
+            samples = stationary.sample_stationary_mcmc(u, v, cfg, 0.25).samples
+        artifact = tmp_path / "stationary_samples.csv"
+        columns = [f"x={x:.6g}" for x in np.linspace(0.0, 1.0, samples.shape[1])]
+        want = _csv_reference(artifact, columns, [tuple(row) for row in samples])
+        assert artifact.read_bytes() == want
+
+    def test_experiment(self, tmp_path):
+        assert run(["--out-dir", tmp_path, "experiment", "coupling", "--t-final", 0.25,
+                    "--dx", 0.0625]) == 0
+        stats = json.loads((tmp_path / "experiment_coupling.json").read_text())["statistics"]
+        rows = []
+        for key, value in sorted(stats.items()):
+            if isinstance(value, dict):
+                rows.extend((f"{key}.{k}", v) for k, v in sorted(value.items()))
+            else:
+                rows.append((key, value))
+        assert len(rows) > 2
+        artifact = tmp_path / "experiment_coupling.csv"
+        assert artifact.read_bytes() == _csv_reference(artifact, ("statistic", "value"), rows)
 
 
 class TestOptionsRead:

@@ -43,6 +43,15 @@ class TestNeumann:
         img, _ = kernels.neumann_kernel(0.2, xs[:, None], xs[None, :])
         assert np.max(np.abs(img - img.T)) < 1e-13
 
+    def test_array_of_horizons(self):
+        ts = np.array([[0.05], [0.2]])
+        img, tail = kernels.neumann_kernel(ts, 0.3, np.array([0.1, 0.9]))
+        for row, t in zip(img, ts[:, 0]):
+            assert np.array_equal(row, kernels.neumann_kernel(t, 0.3, np.array([0.1, 0.9]))[0])
+        assert tail == kernels.neumann_tail_bound(0.05, 20)
+        with pytest.raises(ValueError, match=r"positive and finite \(t=\[ 0.05 -0.2 \]\)"):
+            kernels.neumann_kernel(np.array([0.05, -0.2]), 0.3, 0.1)
+
 
 class TestRobin:
     def test_symmetry(self):

@@ -11,7 +11,6 @@ from openkpz.stationary import (
     McmcConfig,
     RegimeError,
     check_regime,
-    empirical_laplace,
     estimate_normalization,
     importance_sampling_moments,
     rn_log_weight,
@@ -215,19 +214,3 @@ class TestNormalizationOverflow:
     def test_nonfinite_estimate_is_numerical_failure(self, u):
         with pytest.raises(RuntimeError, match=rf"u \+ v = {2 * u}"):
             estimate_normalization(u, u, 1.0 / 16, 1000, 0)
-
-
-class TestLaplace:
-    def test_coefficient_guards(self):
-        samples = np.zeros((100, 17))
-        with pytest.raises(ValueError):
-            empirical_laplace(samples, [16], [-0.1], c_uv=2.0)
-        with pytest.raises(ValueError):
-            empirical_laplace(samples, [8, 16], [1.5, 1.0], c_uv=2.0)
-
-    def test_gaussian_mgf(self):
-        # u + v = 0: h(1) ~ N(u, 1), so E e^{-c h(1)} = e^{-cu + c^2/2}.
-        dx = 1.0 / 64
-        h = sample_bm_drift(0.0, dx, 100000, seed=2)
-        val, se = empirical_laplace(h, [64], [1.0], c_uv=2.0)
-        assert abs(val - np.exp(0.5)) < 4 * se + 1e-3
