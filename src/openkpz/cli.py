@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import sys
 from itertools import repeat
@@ -237,10 +238,17 @@ def cmd_simulate(args) -> int:
         tuple(snap_time(float(s), dt) for s in resolved["save_times"].split(",") if s.strip())
         or (t_final,)
     )
-    cfg = shesolver.SimConfig(dx=dx, t_final=t_final, n_paths=resolved["paths"],
+    n_paths = resolved["paths"]
+    if n_paths < 2:
+        raise ConfigError(f"--paths must be at least 2 for a variance (paths={n_paths})")
+    cfg = shesolver.SimConfig(dx=dx, t_final=t_final, n_paths=n_paths,
                               seed=resolved["seed"], save_times=saves)
     params = shesolver.BoundaryParams(resolved["u"], resolved["v"])
     result = shesolver.simulate_she(np.ones(cfg.n + 1), params, cfg)
+    kept = int((~result.positivity_lost).sum())
+    if kept < 2:
+        raise RuntimeError(f"positivity exclusion left {kept} of {n_paths} paths, "
+                           "fewer than the 2 needed; refine the grid")
     xs = np.linspace(0.0, 1.0, cfg.n + 1).tolist()
     rows = []
     for t in sorted(result.snapshots):
@@ -302,7 +310,7 @@ def cmd_experiment(args) -> int:
         report = harness.coupling_experiment(h0_a=np.zeros_like(x), h0_b=np.sin(np.pi * x),
                                              **resolved)
     out = _out_dir(args)
-    payload = report.to_dict()
+    payload = dataclasses.asdict(report)
     payload["config"] = resolved
     _write_json(out / f"experiment_{args.name}.json", payload)
     stats = payload["statistics"]

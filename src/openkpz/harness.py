@@ -43,29 +43,6 @@ class TestReport:
     passed: bool | None
     seeds: Dict
 
-    def to_dict(self) -> Dict:
-        def clean(obj):
-            if isinstance(obj, dict):
-                return {k: clean(v) for k, v in obj.items()}
-            if isinstance(obj, (list, tuple)):
-                return [clean(v) for v in obj]
-            if isinstance(obj, np.ndarray):
-                return obj.tolist()
-            if isinstance(obj, (np.floating, np.integer)):
-                return obj.item()
-            return obj
-
-        return clean(
-            {
-                "experiment": self.experiment,
-                "parameters": self.parameters,
-                "statistics": self.statistics,
-                "thresholds": self.thresholds,
-                "passed": self.passed,
-                "seeds": self.seeds,
-            }
-        )
-
 
 def ks_two_sample(a: np.ndarray, b: np.ndarray) -> Tuple[float, float]:
     """Two-sample Kolmogorov-Smirnov statistic and asymptotic p-value."""
@@ -114,7 +91,6 @@ def stationarity_experiment(
     dx: float = 1.0 / 64,
     seed: int = 0,
     initial: np.ndarray | None = None,
-    label: str = "stationarity",
     wrong_laws: Mapping[str, np.ndarray] | None = None,
 ) -> TestReport | Tuple[TestReport, ...]:
     """KS-compare anchored marginals of a stationary start at times 0 and T.
@@ -172,7 +148,7 @@ def stationarity_experiment(
             seeds={"sampler": seed, "solver": seed + 1},
         )
 
-    own = report(drawn[:n_samples], label, initial is not None)
+    own = report(drawn[:n_samples], "stationarity", initial is not None)
     if wrong_laws is None:
         return own
     return (own, *(report(np.asarray(ref, dtype=float), name, True)

@@ -167,8 +167,10 @@ class Mollifier:
     space_radius: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.time_radius <= 0 or self.space_radius <= 0:
-            raise ValueError("mollifier radii must be positive")
+        for name in ("time_radius", "space_radius"):
+            radius = getattr(self, name)
+            if not 0 < radius < math.inf:
+                raise ValueError(f"mollifier {name} must be positive and finite ({name}={radius})")
 
     @staticmethod
     def bump(z: np.ndarray) -> np.ndarray:
@@ -182,24 +184,6 @@ class Mollifier:
             * self.bump(np.asarray(y) / self.space_radius)
             / (self.time_radius * self.space_radius)
         )
-
-
-def _midpoint_mass(rho: Mollifier, n: int) -> float:
-    s, ws = _midpoint_grid(rho.time_radius, n)
-    y, wy = _midpoint_grid(rho.space_radius, n)
-    vals_s = rho.bump(s / rho.time_radius) / rho.time_radius
-    vals_y = rho.bump(y / rho.space_radius) / rho.space_radius
-    return float(np.sum(vals_s * ws) * np.sum(vals_y * wy))
-
-
-def _midpoint_grid(radius: float, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Midpoint nodes/weights on [-radius, radius]; even n keeps 0 on a cell edge."""
-    if n % 2:
-        raise ValueError("use an even number of midpoint cells")
-    edges = np.linspace(-radius, radius, n + 1)
-    nodes = 0.5 * (edges[:-1] + edges[1:])
-    weights = np.full(n, 2.0 * radius / n)
-    return nodes, weights
 
 
 def _bump_autocorrelation(z: np.ndarray, radius: float) -> np.ndarray:
@@ -219,33 +203,13 @@ def _bump_autocorrelation(z: np.ndarray, radius: float) -> np.ndarray:
     return (vals @ weights) * half / radius
 
 
-def _bracket(s: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """1/2 - (1/2) Erf(|y| / sqrt(2|s|)) - 2 |y| N(s, y), with N the heat kernel.
-
-    Continuous off s = 0 and bounded; the s = 0 limit is 0 for y != 0 and
-    1/2 on the axis.
-    """
-    s, y = np.broadcast_arrays(
-        np.abs(np.asarray(s, dtype=float)), np.abs(np.asarray(y, dtype=float))
-    )
-    out = np.zeros(s.shape, dtype=float)
-    pos = s > 0
-    sp, yp = s[pos], y[pos]
-    out[pos] = (
-        0.5
-        - 0.5 * erf(yp / np.sqrt(2.0 * sp))
-        - 2.0 * yp * gauss_kernel(sp, yp)
-    )
-    out[~pos] = np.where(y[~pos] == 0.0, 0.5, 0.0)
-    return out
-
-
 def _constant_a_single(rho: Mollifier, n: int) -> float:
     """One quadrature pass with n outer cells.
 
-    The bracket is discontinuous at the space-time origin (it is constant
-    along parabolas y ~ c sqrt(s)), which ruins plain tensor quadrature.
-    Substituting u = y / sqrt(2 s) makes the inner integral smooth:
+    The bracket F(s, y) = 1/2 - (1/2) Erf(|y| / sqrt(2|s|)) - 2 |y| N(s, y),
+    with N the heat kernel, is discontinuous at the space-time origin (it is
+    constant along parabolas y ~ c sqrt(s)), which ruins plain tensor
+    quadrature.  Substituting u = y / sqrt(2 s) makes the inner integral smooth:
 
         G(s) = int A_y(y) F(s, y) dy
              = 2 sqrt(2 s) int_0^inf A_y(sqrt(2 s) u) g(u) du,
@@ -277,18 +241,15 @@ def _constant_a_single(rho: Mollifier, n: int) -> float:
 
 
 def constant_a(rho: Mollifier | None = None, n: int = 256) -> Tuple[float, float]:
-    """Boundary constant a = integral (rho_bar * rho)(s,y) bracket(s,y) ds dy.
+    """Boundary constant a = integral (rho_bar * rho)(s,y) F(s,y) ds dy.
 
-    Tensor-product midpoint quadrature at n and 2n cells with Richardson
-    extrapolation; returns (value, error_estimate).
+    F is the bracket of ``_constant_a_single``.  Quadrature at n and 2n cells
+    with Richardson extrapolation; returns (value, error_estimate).
     """
     if n < 1:
         raise ValueError(f"constant_a needs n >= 1 quadrature cells (n={n})")
     if rho is None:
         rho = Mollifier()
-    mass = _midpoint_mass(rho, 2048)
-    if abs(mass - 1.0) > 1e-10:
-        raise ValueError(f"mollifier is not normalized: mass = {mass!r}")
     coarse = _constant_a_single(rho, n)
     fine = _constant_a_single(rho, 2 * n)
     value = (4.0 * fine - coarse) / 3.0

@@ -27,7 +27,7 @@ from typing import Dict, Tuple
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from openkpz.grid import default_dt, grid_size, time_steps
+from openkpz.grid import check_time, default_dt, grid_size, time_steps
 from openkpz.kernels import CrankNicolson, robin_laplacian
 
 RNG_CHUNK = 512  # paths per independent noise stream
@@ -53,8 +53,9 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         grid_size(self.dx)
-        if self.t_final <= 0 or self.n_paths < 1:
-            raise ValueError("t_final must be positive and n_paths >= 1")
+        check_time(self.t_final)
+        if self.n_paths < 1:
+            raise ValueError(f"a run needs at least 1 path (n_paths={self.n_paths})")
 
     @property
     def dt(self) -> float:

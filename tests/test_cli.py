@@ -73,6 +73,23 @@ class TestSimulate:
                         "--t-final", 0.05, "--dx", 0.0625, "--seed", 3]) == 0
         assert (a / "simulate.csv").read_bytes() == (b / "simulate.csv").read_bytes()
 
+    def test_exclusion_leaving_fewer_than_two_paths_is_exit_3(self, tmp_path, capsys,
+                                                              monkeypatch):
+        from openkpz import shesolver
+
+        def one_kept(z0, params, cfg):
+            lost = np.arange(cfg.n_paths) >= 1
+            return shesolver.SheResult({cfg.t_final: np.ones((cfg.n_paths, cfg.n + 1))},
+                                       lost, cfg)
+
+        monkeypatch.setattr(shesolver, "simulate_she", one_kept)
+        code = run(["--out-dir", tmp_path / "out", "simulate", "--paths", 5,
+                    "--dx", 0.25, "--t-final", 0.0625])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: positivity exclusion left 1 of 5 paths, fewer than the 2 needed")
+        assert not (tmp_path / "out").exists()
+
 
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path):
@@ -202,6 +219,12 @@ class TestDegenerateInput:
          "time 1e+306 at dt=0.00048828125 takes inf steps > MAX_STEPS"),
         (["simulate", "--t-final", 1e300, "--paths", 1, "--dx", 0.25],
          "time 1e+300 at dt=0.03125 takes 3.2e+301 steps > MAX_STEPS = 100000000"),
+        (["simulate", "--paths", 1, "--dx", 0.25, "--t-final", 0.0625],
+         "--paths must be at least 2 for a variance (paths=1)"),
+        (["constant-a", "--time-radius", "inf"], "positive and finite (time_radius=inf)"),
+        (["constant-a", "--time-radius", "nan"], "positive and finite (time_radius=nan)"),
+        (["constant-a", "--space-radius", "inf"], "positive and finite (space_radius=inf)"),
+        (["constant-a", "--space-radius", "nan"], "positive and finite (space_radius=nan)"),
     ], ids=["simulate-dx-0", "simulate-dx-negative", "sample-stationary-dx-0",
             "coupling-dx-0", "ergodic-dx-negative", "robin-grid-0", "constant-a-cells-0",
             "bm-drift-n-samples-0", "robin-u-nan", "simulate-u-nan", "coupling-u-nan",
@@ -210,7 +233,9 @@ class TestDegenerateInput:
             "simulate-save-time-negative", "coupling-t-final-negative", "gauss-images",
             "bm-drift-rho", "gauss-t-negative", "gauss-t-nan", "gauss-t-inf", "neumann-t-0",
             "neumann-t-nan", "neumann-t-inf", "robin-t-negative", "robin-t-nan", "robin-t-inf",
-            "robin-t-overflows-step-count", "simulate-t-final-above-step-bound"])
+            "robin-t-overflows-step-count", "simulate-t-final-above-step-bound",
+            "simulate-paths-1", "constant-a-time-radius-inf", "constant-a-time-radius-nan",
+            "constant-a-space-radius-inf", "constant-a-space-radius-nan"])
     def test_config_error_names_the_value(self, tmp_path, capsys, argv, message):
         assert run(["--out-dir", tmp_path / "out", *argv]) == 2
         err = capsys.readouterr().err

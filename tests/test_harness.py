@@ -65,17 +65,18 @@ class TestStationarity:
         wrong = np.zeros((300, n + 1))  # flat start is far from stationarity
         report = stationarity_experiment(
             0.5, -0.5, n_samples=300, t_final=0.125, dx=1.0 / 32, seed=0,
-            initial=wrong, label="wrong-law control",
+            initial=wrong,
         )
         assert not report.passed
 
     def test_report_serializes(self):
+        import dataclasses
         import json
 
         report = stationarity_experiment(
             0.5, -0.5, n_samples=120, t_final=0.0625, dx=1.0 / 32, seed=1
         )
-        json.dumps(report.to_dict())
+        json.dumps(dataclasses.asdict(report))
 
 
 class TestErgodic:

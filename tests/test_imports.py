@@ -1,4 +1,4 @@
-"""Every module-level import in the package is used."""
+"""Every module-level import and private name in the package is read."""
 
 import ast
 from pathlib import Path
@@ -41,3 +41,53 @@ def test_no_unused_module_level_imports(path):
 
 def test_detector_finds_an_unused_import():
     assert unused_imports("import os\nimport sys\nprint(sys.argv)\n") == [(1, "os")]
+
+
+def _bound(stmt):
+    """Names a top-level statement defines (imports are ``unused_imports``' concern)."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _read(stmt):
+    names = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def uncalled_private_names(sources):
+    """Module-level ``_names`` (dunders excepted) that no statement but their own reads.
+
+    ``sources`` maps a module label to its text; returns sorted (label, line, name).
+    """
+    statements = [(label, stmt) for label, text in sources.items()
+                  for stmt in ast.parse(text).body]
+    reads = [(stmt, _read(stmt)) for _, stmt in statements]
+    return sorted(
+        (label, stmt.lineno, name)
+        for label, stmt in statements
+        for name in _bound(stmt)
+        if name.startswith("_") and not name.startswith("__")
+        and not any(name in names for other, names in reads if other is not stmt)
+    )
+
+
+def test_every_private_name_is_read():
+    sources = {str(path.relative_to(PACKAGE)): path.read_text() for path in MODULES}
+    assert uncalled_private_names(sources) == []
+
+
+def test_detector_finds_an_uncalled_private_name():
+    sources = {
+        "a": "def _used():\n    pass\n\ndef _recursive():\n    return _recursive()\n\n_X = 1\n",
+        "b": "from a import _X, _used\n_used(_X)\n__all__ = []\n",
+    }
+    assert uncalled_private_names(sources) == [("a", 4, "_recursive")]

@@ -112,17 +112,6 @@ class TestMollifier:
 
 
 class TestConstantA:
-    def test_bracket_even_in_space(self):
-        s = np.array([0.3, 0.7])
-        y = np.array([0.2, -0.2])
-        b = kernels._bracket(s[:, None], y[None, :])
-        assert np.allclose(b[:, 0], b[:, 1])
-
-    def test_bracket_limits(self):
-        # F -> 1/2 on the time axis, 0 far out in space.
-        assert abs(kernels._bracket(np.array(1.0), np.array(0.0)) - 0.5) < 1e-12
-        assert abs(kernels._bracket(np.array(0.01), np.array(5.0))) < 1e-12
-
     def test_default_value_frozen(self):
         value, err = kernels.constant_a(n=128)
         assert abs(value - (-0.02742750513831)) < 1e-9

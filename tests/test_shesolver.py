@@ -50,6 +50,15 @@ class TestConfig:
                 with pytest.raises(ValueError, match=message.replace("+", r"\+")):
                     call(t, 0.03125)
 
+    @pytest.mark.parametrize("t_final", [0.0, -1.0, float("nan"), float("inf")])
+    def test_horizon_that_is_not_positive_and_finite_rejected(self, t_final):
+        with pytest.raises(ValueError, match=rf"positive and finite \(t={t_final}\)"):
+            SimConfig(dx=1.0 / 16, t_final=t_final)
+
+    def test_path_count_below_one_named(self):
+        with pytest.raises(ValueError, match=r"n_paths=0"):
+            SimConfig(dx=1.0 / 16, n_paths=0)
+
     def test_horizon_shorter_than_one_step_rejected(self):
         cfg = SimConfig(dx=1.0 / 16, t_final=1e-10)
         with pytest.raises(ValueError):

@@ -12,24 +12,33 @@ from hypothesis import strategies as st
 from openkpz.treealg import (
     BASIS_NAMES,
     XI,
+    CharacterF,
     ExactDegree,
     Integ,
     Monomial,
+    RenormParams,
     basis_tree,
+    compose_gamma,
     coproduct,
     format_tree,
+    gamma_f,
+    generic_character,
     parse_tree,
     prod,
+    renormalize,
     tree_degree,
 )
 from openkpz.treealg.combination import SYMBOLS, TreeCombination
+from openkpz.treealg.coproduct import PLUS_GENERATORS
 from openkpz.treealg.degree import degree_from_string
+from openkpz.treealg.golden import load_golden_rows
 
 NAMED_TREES = [basis_tree(name) for name in BASIS_NAMES + ["<1d1d>", "<2d2d1d>"]]
 
 # Fixed examples per test keep tier-1 deterministic and its cost bounded.
 LAWS = settings(max_examples=50, deadline=None, derandomize=True)
 SYNTAX = settings(max_examples=300, deadline=None, derandomize=True)
+ALGEBRA = settings(max_examples=25, deadline=None, derandomize=True)
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4).map(
     lambda q: sympy.Rational(q.numerator, q.denominator)
@@ -73,6 +82,42 @@ def test_repeated_keys_add_up(terms):
 @given(st.sampled_from(NAMED_TREES), st.sampled_from(NAMED_TREES))
 def test_coproduct_is_multiplicative(s, t):
     assert coproduct(prod(s, t)) == coproduct(s).mul(coproduct(t))
+
+
+characters = st.tuples(*[rationals] * len(PLUS_GENERATORS)).map(CharacterF)
+# the composed character of two symbolic ones, to substitute rational values into
+F, G = generic_character("f"), generic_character("g")
+COMPOSED = compose_gamma(F, G)
+
+
+@ALGEBRA
+@given(characters, characters)
+def test_gamma_composition_with_rational_characters(f, g):
+    h = compose_gamma(f, g)
+    for name in BASIS_NAMES:
+        tree = basis_tree(name)
+        assert gamma_f(f, gamma_f(g, tree)) == gamma_f(h, tree), name
+    values = dict(zip(F.values + G.values, f.values + g.values))
+    assert h.values == tuple(sympy.expand(v.subs(values)) for v in COMPOSED.values)
+
+
+@LAWS
+@given(combinations)
+def test_renormalize_with_zero_weights_is_the_identity(x):
+    assert renormalize(RenormParams.zero(), x) == x
+
+
+GOLDEN_ROWS = load_golden_rows()
+
+
+@ALGEBRA
+@given(rationals, rationals, rationals, rationals)
+def test_renormalize_matches_the_golden_table_at_rational_weights(c0, c1, c2, c3):
+    params = RenormParams(c0, c1, c2, c3)
+    weights = {SYMBOLS[f"C{i}"]: params.weight(i) for i in range(4)}
+    for row in GOLDEN_ROWS:
+        expected = TreeCombination((tree, c.subs(weights)) for tree, c in row.mg.items())
+        assert renormalize(params, row.term) == expected, row.name
 
 
 # Grammar trees: Xi and monomials, I/I' of a non-monomial, and products.
