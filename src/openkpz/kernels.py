@@ -45,7 +45,7 @@ def neumann_kernel(t, x, y, M: int = 20) -> Tuple[np.ndarray, float]:
     """
     check_time(t)
     if M < 1:
-        raise ValueError("image truncation M must be >= 1")
+        raise ValueError(f"neumann_kernel needs M >= 1 images (M={M})")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     total = np.zeros(np.broadcast(x, y).shape, dtype=float)
@@ -112,7 +112,7 @@ class CrankNicolson:
         return z
 
 
-class RannacherPropagator:
+class RannacherPropagator(CrankNicolson):
     """Crank-Nicolson with an implicit-Euler startup (Rannacher smoothing).
 
     The first two CN steps are each replaced by two implicit-Euler
@@ -121,16 +121,12 @@ class RannacherPropagator:
     second order.
     """
 
-    def __init__(self, L: sparse.spmatrix, dt: float):
-        self.cn = CrankNicolson(L, dt)
-
     def advance(self, z: np.ndarray, n_steps: int) -> np.ndarray:
         startup = min(RANNACHER_STEPS, n_steps)
         # an implicit-Euler half-step solves with the CN matrix I - dt/2 L
-        half_step = self.cn._solver.solve
         for _ in range(startup):
-            z = half_step(half_step(z))
-        return self.cn.advance(z, n_steps - startup)
+            z = self._solver.solve(self._solver.solve(z))
+        return super().advance(z, n_steps - startup)
 
 
 def robin_kernel(t: float, u: float, v: float, n: int = 256) -> np.ndarray:

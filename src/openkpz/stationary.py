@@ -91,9 +91,11 @@ class McmcConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.rho < 1.0:
-            raise ValueError("pCN step rho must lie in (0, 1)")
-        if self.burn_in < 0 or self.thinning < 1 or self.n_samples < 1:
-            raise ValueError("invalid chain lengths")
+            raise ValueError(f"pCN step rho must lie in (0, 1) (rho={self.rho})")
+        for name, least in (("burn_in", 0), ("thinning", 1), ("n_samples", 1)):
+            length = getattr(self, name)
+            if length < least:
+                raise ValueError(f"{name} must be at least {least} ({name}={length})")
 
     @property
     def chain_length(self) -> int:

@@ -31,7 +31,6 @@ from openkpz.treealg.basis import (
 from openkpz.treealg.coproduct import (
     CharacterF,
     CoproductDomainError,
-    StructureGroupReport,
     check_structure_group,
     compose_gamma,
     coproduct,
@@ -78,7 +77,6 @@ __all__ = [
     "zero_character",
     "gamma_f",
     "check_structure_group",
-    "StructureGroupReport",
     "compose_gamma",
     "RenormParams",
     "renormalize",

@@ -9,7 +9,7 @@ always primitive on the left, ``Delta I'(t) = (I' x id) Delta t``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import sympy
@@ -146,49 +146,25 @@ def gamma_f(f: CharacterF, x: TreeCombination | Tree) -> TreeCombination:
     )
 
 
-@dataclass
-class StructureGroupReport:
-    entries: List[Tuple[str, bool, str]] = field(default_factory=list)
-
-    def add(self, prop: str, passed: bool, witness: str = "") -> None:
-        self.entries.append((prop, passed, witness))
-
-    @property
-    def all_passed(self) -> bool:
-        return all(passed for _, passed, _ in self.entries)
-
-    def __str__(self) -> str:
-        lines = []
-        for prop, passed, witness in self.entries:
-            line = f"{'PASS' if passed else 'FAIL'}  {prop}"
-            if witness and not passed:
-                line += f"  [{witness}]"
-            lines.append(line)
-        return "\n".join(lines)
-
-
-def check_structure_group(f: CharacterF) -> StructureGroupReport:
-    """Verify the four defining properties of the structure group on the basis."""
-    report = StructureGroupReport()
+def check_structure_group(f: CharacterF) -> List[Tuple[str, bool, str]]:
+    """The four defining properties of the structure group on the basis, as
+    (property, holds, witness) with a witness of each failure."""
+    laws = []
     basis = basis_W()
 
     # (i) action on Xi, the unit, and X1.
-    fixed_ok = gamma_f(f, XI) == TreeCombination.single(XI) and gamma_f(
-        f, ONE
-    ) == TreeCombination.single(ONE)
+    moved = [format_tree(t) for t in (XI, ONE) if gamma_f(f, t) != TreeCombination.single(t)]
     gx1 = gamma_f(f, X1)
-    shift_ok = set(gx1.terms) <= {X1, ONE} and gx1.coeff(X1) == 1
-    report.add("fixes Xi and 1; shifts X1 by a multiple of 1", fixed_ok and shift_ok)
+    ok = not moved and set(gx1.terms) <= {X1, ONE} and gx1.coeff(X1) == 1
+    laws.append(("fixes Xi and 1; shifts X1 by a multiple of 1", ok,
+                 "" if ok else f"moves {moved}; X1 -> {gx1!r}"))
 
     # (ii) triangularity: Gamma_f(t) - t lives strictly below deg t.
     for name, tree, deg in basis:
         delta = gamma_f(f, tree) - TreeCombination.single(tree)
         bad = [t for t in delta.terms if not tree_degree(t) < deg]
-        report.add(
-            f"triangular on {name}",
-            not bad,
-            "" if not bad else f"term {format_tree(bad[0])} not below {deg}",
-        )
+        laws.append((f"triangular on {name}", not bad,
+                     "" if not bad else f"term {format_tree(bad[0])} not below {deg}"))
 
     # (iii) multiplicativity on products staying inside the basis.
     trees_in_basis = {tree for _, tree, _ in basis}
@@ -199,11 +175,8 @@ def check_structure_group(f: CharacterF) -> StructureGroupReport:
                 continue
             lhs = gamma_f(f, product)
             rhs = gamma_f(f, t1).mul(gamma_f(f, t2))
-            report.add(
-                f"multiplicative on {n1}*{n2}",
-                lhs == rhs,
-                "" if lhs == rhs else f"{lhs!r} != {rhs!r}",
-            )
+            laws.append((f"multiplicative on {n1}*{n2}", lhs == rhs,
+                         "" if lhs == rhs else f"{lhs!r} != {rhs!r}"))
 
     # (iv) commutation with integration up to polynomials.
     for name, tree, _ in basis:
@@ -214,13 +187,10 @@ def check_structure_group(f: CharacterF) -> StructureGroupReport:
             if image not in trees_in_basis:
                 continue
             diff = gamma_f(f, image) - gamma_f(f, tree).integrate(prime)
-            poly_only = all(isinstance(t, Monomial) for t in diff.terms)
-            report.add(
-                f"Gamma commutes with {'I`' if prime else 'I'} on {name} up to polynomials",
-                poly_only,
-                "" if poly_only else f"non-polynomial remainder {diff!r}",
-            )
-    return report
+            ok = all(isinstance(t, Monomial) for t in diff.terms)
+            law = f"Gamma commutes with {'I`' if prime else 'I'} on {name} up to polynomials"
+            laws.append((law, ok, "" if ok else f"non-polynomial remainder {diff!r}"))
+    return laws
 
 
 class GroupClosureError(RuntimeError):

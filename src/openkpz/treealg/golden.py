@@ -1,10 +1,11 @@
-"""Golden-table verification: encoded tables vs. recomputed algebra.
+"""Golden-table verification: encoded algebra vs. recomputed algebra.
 
 The four tables (degrees, coproduct, structure-group action with symbolic
 generator values, renormalization-group action with symbolic weights) are
-stored as a plain-text data file; this module parses it and checks exact
-equality against the engine, so a correction to a table is a one-line data
-edit, never a code change.
+stored as a plain-text data file and the counterterms (c1, c2, c3) as one
+triple below; this module parses them and checks exact equality against the
+engine, together with the structure-group laws, so a correction to a golden
+value is a one-line data edit, never a code change.
 """
 
 from __future__ import annotations
@@ -13,14 +14,19 @@ import importlib.resources
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+import sympy
+
 from openkpz.treealg.basis import _split_top, basis_W, parse_tree
-from openkpz.treealg.combination import TensorElement, TreeCombination, right_mono
-from openkpz.treealg.coproduct import coproduct, gamma_f, generic_character
+from openkpz.treealg.combination import TensorElement, TreeCombination, _as_coeff, right_mono
+from openkpz.treealg.coproduct import check_structure_group, coproduct, gamma_f, generic_character
 from openkpz.treealg.degree import ExactDegree, degree_from_string
+from openkpz.treealg.expansion import renorm_constants
 from openkpz.treealg.renorm import RenormParams, renormalize
-from openkpz.treealg.trees import Tree, tree_degree
+from openkpz.treealg.trees import Tree
 
 TABLE_NAMES = ("degree", "coproduct", "gamma", "renormalize")
+# (c1, c2, c3) of renorm_constants() at the symbolic RenormParams().
+EXPECTED_CONSTANTS = ("C0", "2*C0", "C2/4 + C3/2 + 2*a10*C0 + C1")
 
 
 def _parse_term(term: str) -> Tuple[Tree, str]:
@@ -84,35 +90,44 @@ def load_golden_rows() -> List[GoldenRow]:
 
 @dataclass
 class GoldenReport:
+    """Failed checks as (check, element, detail); a check is a table, the
+    "structure group" laws or the renormalization "constants"."""
+
     mismatches: List[Tuple[str, str, str]] = field(default_factory=list)
     rows_checked: int = 0
+    constants: Tuple[sympy.Expr, ...] = ()
 
     @property
     def all_passed(self) -> bool:
         return not self.mismatches
 
     def table_status(self) -> Dict[str, bool]:
-        failed = {table for table, _, _ in self.mismatches}
-        return {table: table not in failed for table in TABLE_NAMES}
+        failed = {check for check, _, _ in self.mismatches}
+        checks = (*TABLE_NAMES, "structure group", "constants")
+        return {check: check not in failed for check in checks}
 
     def __str__(self) -> str:
         status = self.table_status()
         lines = [
-            f"table {table:12s} {'exact' if ok else 'MISMATCH'}"
-            for table, ok in status.items()
+            f"table {table:12s} {'exact' if status[table] else 'MISMATCH'}"
+            for table in TABLE_NAMES
         ]
-        for table, name, detail in self.mismatches:
-            lines.append(f"  {table}[{name}]: {detail}")
-        exact = sum(status.values())
+        for check, name, detail in self.mismatches:
+            lines.append(f"  {check}[{name}]: {detail}")
+        exact = sum(status[table] for table in TABLE_NAMES)
         lines.append(f"{exact}/{len(TABLE_NAMES)} tables exact over {self.rows_checked} elements")
+        lines.append("structure group: "
+                     + ("all properties hold" if status["structure group"] else "FAIL"))
+        lines.append("renormalization constants: ({}, {}, {})".format(*self.constants)
+                     + ("" if status["constants"] else "  MISMATCH"))
         return "\n".join(lines)
 
 
 def verify_golden_tables() -> GoldenReport:
-    """Recompute every table entry and compare with the encoded data."""
-    report = GoldenReport()
+    """Recompute every table entry, the structure-group laws and the
+    renormalization constants, and compare them with the encoded data."""
     rows = load_golden_rows()
-    report.rows_checked = len(rows)
+    report = GoldenReport(rows_checked=len(rows))
     f = generic_character()
     params = RenormParams()
 
@@ -124,27 +139,20 @@ def verify_golden_tables() -> GoldenReport:
                 ("degree", row.name, f"encoded term {row.term!r} != basis {tree!r}")
             )
             continue
-        if deg != row.degree or tree_degree(row.term) != row.degree:
-            report.mismatches.append(
-                ("degree", row.name, f"computed {deg} != encoded {row.degree}")
-            )
-        delta = coproduct(tree)
-        if not delta == row.delta:
-            report.mismatches.append(
-                ("coproduct", row.name, f"computed {delta!r} != encoded {row.delta!r}")
-            )
-        gamma = gamma_f(f, tree)
-        if not gamma == row.gamma:
-            report.mismatches.append(
-                ("gamma", row.name, f"computed {gamma!r} != encoded {row.gamma!r}")
-            )
-        mg = renormalize(params, tree)
-        if not mg == row.mg:
-            report.mismatches.append(
-                ("renormalize", row.name, f"computed {mg!r} != encoded {row.mg!r}")
-            )
+        computed = (deg, coproduct(tree), gamma_f(f, tree), renormalize(params, tree))
+        encoded = (row.degree, row.delta, row.gamma, row.mg)
+        for table, got, want in zip(TABLE_NAMES, computed, encoded):
+            if got != want:
+                report.mismatches.append((table, row.name, f"computed {got} != encoded {want}"))
     if len(rows) != len(computed_basis):
         report.mismatches.append(
             ("degree", "*", f"{len(rows)} rows encoded, {len(computed_basis)} basis elements")
         )
+    report.mismatches += [("structure group", law, witness)
+                          for law, holds, witness in check_structure_group(f) if not holds]
+    report.constants = renorm_constants()
+    for k, (got, text) in enumerate(zip(report.constants, EXPECTED_CONSTANTS), 1):
+        want = _as_coeff(text)
+        if sympy.expand(got - want) != 0:
+            report.mismatches.append(("constants", f"c{k}", f"computed {got} != expected {want}"))
     return report

@@ -53,8 +53,9 @@ class TestAlgebra:
         rep = verify_golden_tables()
         elapsed = time.perf_counter() - start
         ok = rep.all_passed and elapsed < TOL["golden_seconds"]
-        report(1, "degree/coproduct/gamma/renormalize golden tables exact",
-               ok, f"{str(rep).splitlines()[-1]}, {elapsed:.2f}s")
+        report(1, "golden tables, structure-group laws and renormalization constants exact",
+               ok, f"{len(rep.mismatches)} mismatches over {rep.rows_checked} elements, "
+               f"{elapsed:.2f}s")
 
     def test_criterion_02_renorm_constants(self):
         import sympy

@@ -33,6 +33,45 @@ class TestVerifyAlgebra:
             "renormalization constants: (C0, 2*C0, 2*C0*a10 + C1 + C2/4 + C3/2)",
         ]
 
+    def test_corrupted_golden_row_is_exit_1(self, capsys, monkeypatch):
+        from openkpz.treealg import golden
+
+        rows = golden.load_golden_rows()
+        rows[3].degree = rows[4].degree
+        monkeypatch.setattr(golden, "load_golden_rows", lambda: rows)
+        assert run(["verify-algebra"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "table degree       MISMATCH" in out
+        assert f"  degree[{rows[3].name}]: computed" in "\n".join(out)
+        assert "3/4 tables exact over 14 elements" in out
+
+    def test_failing_structure_group_law_is_exit_1(self, capsys, monkeypatch):
+        from openkpz.treealg import golden
+
+        check = golden.check_structure_group
+
+        def one_law_fails(f):
+            laws = check(f)
+            laws[1] = (laws[1][0], False, "planted witness")
+            return laws
+
+        monkeypatch.setattr(golden, "check_structure_group", one_law_fails)
+        assert run(["verify-algebra"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "  structure group[triangular on Xi]: planted witness" in out
+        assert "structure group: FAIL" in out
+        assert "4/4 tables exact over 14 elements" in out
+
+    def test_wrong_expected_constant_is_exit_1(self, capsys, monkeypatch):
+        from openkpz.treealg import golden
+
+        monkeypatch.setattr(golden, "EXPECTED_CONSTANTS", ("C0", "2*C0", "C1"))
+        assert run(["verify-algebra"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1].endswith("  MISMATCH")
+        assert "  constants[c3]: computed 2*C0*a10 + C1 + C2/4 + C3/2 != expected C1" in out
+        assert "structure group: all properties hold" in out
+
 
 class TestKernel:
     def test_writes_csv_with_config_header(self, tmp_path):
@@ -225,6 +264,14 @@ class TestDegenerateInput:
         (["constant-a", "--time-radius", "nan"], "positive and finite (time_radius=nan)"),
         (["constant-a", "--space-radius", "inf"], "positive and finite (space_radius=inf)"),
         (["constant-a", "--space-radius", "nan"], "positive and finite (space_radius=nan)"),
+        (["kernel", "--kind", "neumann", "--images", 0], "M >= 1 images (M=0)"),
+        (["sample-stationary", "--u", 1, "--v", 1, "--rho", 1.5], "(0, 1) (rho=1.5)"),
+        (["sample-stationary", "--u", 1, "--v", 1, "--burn-in", -1],
+         "burn_in must be at least 0 (burn_in=-1)"),
+        (["sample-stationary", "--u", 1, "--v", 1, "--thinning", 0],
+         "thinning must be at least 1 (thinning=0)"),
+        (["sample-stationary", "--u", 1, "--v", 1, "--n-samples", 0],
+         "n_samples must be at least 1 (n_samples=0)"),
     ], ids=["simulate-dx-0", "simulate-dx-negative", "sample-stationary-dx-0",
             "coupling-dx-0", "ergodic-dx-negative", "robin-grid-0", "constant-a-cells-0",
             "bm-drift-n-samples-0", "robin-u-nan", "simulate-u-nan", "coupling-u-nan",
@@ -235,7 +282,8 @@ class TestDegenerateInput:
             "neumann-t-nan", "neumann-t-inf", "robin-t-negative", "robin-t-nan", "robin-t-inf",
             "robin-t-overflows-step-count", "simulate-t-final-above-step-bound",
             "simulate-paths-1", "constant-a-time-radius-inf", "constant-a-time-radius-nan",
-            "constant-a-space-radius-inf", "constant-a-space-radius-nan"])
+            "constant-a-space-radius-inf", "constant-a-space-radius-nan", "neumann-images-0",
+            "pcn-rho-1.5", "pcn-burn-in-negative", "pcn-thinning-0", "pcn-n-samples-0"])
     def test_config_error_names_the_value(self, tmp_path, capsys, argv, message):
         assert run(["--out-dir", tmp_path / "out", *argv]) == 2
         err = capsys.readouterr().err

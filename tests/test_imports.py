@@ -1,4 +1,4 @@
-"""Every module-level import and private name in the package is read."""
+"""Every import and module-level private name in the package is read."""
 
 import ast
 from pathlib import Path
@@ -11,36 +11,66 @@ PACKAGE = Path(openkpz.__file__).parent
 MODULES = sorted(PACKAGE.rglob("*.py"))
 
 
-def unused_imports(source: str):
-    """Names bound by top-level imports that the module never reads.
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-    A name listed in ``__all__`` counts as read (a re-export).
+
+def _own_imports(scope):
+    """Import statements whose innermost enclosing function is ``scope``."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, FUNCTIONS):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unused_imports(source: str):
+    """Names bound by imports that their scope never reads.
+
+    The scope of an import in a function is that function (with the functions
+    nested in it); of any other import, the module.  A name listed in
+    ``__all__`` counts as read (a re-export).
     """
     tree = ast.parse(source)
-    bound = {}
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                name = alias.asname or alias.name.split(".")[0]
-                bound[name] = node.lineno
-    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    exported = set()
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            read |= {elt.value for elt in node.value.elts}
-    return sorted((line, name) for name, line in bound.items() if name not in read)
+            exported |= {elt.value for elt in node.value.elts}
+    unused = []
+    for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, FUNCTIONS))]:
+        bound = {}
+        for node in _own_imports(scope):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        read = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+        if scope is tree:
+            read |= exported
+        unused += [(line, name) for name, line in bound.items() if name not in read]
+    return sorted(unused)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
-def test_no_unused_module_level_imports(path):
+def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
 def test_detector_finds_an_unused_import():
     assert unused_imports("import os\nimport sys\nprint(sys.argv)\n") == [(1, "os")]
+
+
+def test_detector_finds_an_unused_function_level_import():
+    source = (
+        "def f():\n    import os\n    import sys\n    return sys.argv\n\n"
+        "def g():\n    from os import path\n    return os.sep\n\n"
+        "def h():\n    import os\n\n    def inner():\n        return os.sep\n\n"
+        "    return inner\n"
+    )
+    assert unused_imports(source) == [(2, "os"), (7, "path")]
 
 
 def _bound(stmt):
