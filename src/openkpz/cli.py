@@ -76,6 +76,15 @@ class ConfigError(Exception):
     pass
 
 
+def _parse(kind: type, raw: str, where: str):
+    """``kind(raw)``; a value that does not parse is a ConfigError naming ``where``."""
+    try:
+        return kind(raw)
+    except ValueError:
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where} {raw!r} is not {expected}") from None
+
+
 def _resolve(args: argparse.Namespace, section: str) -> Tuple[Dict, Set[str]]:
     """Options (defaults < config-file section < flags) and the keys set; unknown keys rejected."""
     defaults = {**OPTIONS[section], "seed": 0}
@@ -92,7 +101,7 @@ def _resolve(args: argparse.Namespace, section: str) -> Tuple[Dict, Set[str]]:
                 key = key.replace("-", "_")
                 if key not in defaults:
                     raise ConfigError(f"unknown key {key!r} in section [{section}]")
-                resolved[key] = type(defaults[key])(raw)
+                resolved[key] = _parse(type(defaults[key]), raw, f"[{section}] {key} =")
                 explicit.add(key)
                 if key in CHOICES and resolved[key] not in CHOICES[key]:
                     raise ConfigError(
@@ -210,7 +219,8 @@ def cmd_simulate(args) -> int:
     dt = default_dt(dx)
     t_final = snap_time(resolved["t_final"], dt)
     saves = (
-        tuple(snap_time(float(s), dt) for s in resolved["save_times"].split(",") if s.strip())
+        tuple(snap_time(_parse(float, s, "--save-times entry"), dt)
+              for s in map(str.strip, resolved["save_times"].split(",")) if s)
         or (t_final,)
     )
     n_paths = resolved["paths"]

@@ -38,14 +38,14 @@ from openkpz.treealg.coproduct import (
     generic_character,
     zero_character,
 )
-from openkpz.treealg.renorm import RenormParams, contraction_generator, renormalize
+from openkpz.treealg.renorm import RenormParams, renormalize
 from openkpz.treealg.expansion import (
     picard_W,
     picard_dW,
     q_leq0_nonlinearity,
     renorm_constants,
 )
-from openkpz.treealg.sector import sector_exponents, sector_table
+from openkpz.treealg.sector import sector_table
 from openkpz.treealg.golden import verify_golden_tables
 
 __all__ = [
@@ -80,12 +80,10 @@ __all__ = [
     "compose_gamma",
     "RenormParams",
     "renormalize",
-    "contraction_generator",
     "picard_W",
     "picard_dW",
     "q_leq0_nonlinearity",
     "renorm_constants",
-    "sector_exponents",
     "sector_table",
     "verify_golden_tables",
 ]

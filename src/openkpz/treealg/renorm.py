@@ -11,23 +11,26 @@ occurrence of a fixed negative-degree pattern to the unit:
     L3 : a Psi factor and an I'(Psi*I'(Psi^2)) factor at one node,
 
 with Psi = I'(Xi).  The exponential is realized as the sum over all sets of
-pairwise-disjoint contraction instances (each instance weighted by -C_i):
-instances sharing any factor occurrence never combine, which is what makes
-repeated application of an L_i vanish on every element of the model space.
-An integral whose content contracts away entirely is zero (I(1) = 0).
+pairwise-disjoint contractions (each weighted by -C_i): contractions sharing
+a factor occurrence never combine, which is what makes repeated application
+of an L_i vanish on every element of the model space.  The sets are built
+node by node: a node's first factor is either kept, with the sets inside a
+kept integral's content, or contracted with exactly one later factor, and
+the remaining factors recurse the same way, so each set comes out exactly
+once.  An integral whose content contracts to a monomial is zero
+(I(X^l) = 0, the unit included).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import sympy
 
 from openkpz.treealg.basis import IP_PSI2, IP_PSI_IP_PSI2, PSI
 from openkpz.treealg.combination import SYMBOLS, TreeCombination, _as_coeff
-from openkpz.treealg.trees import Integ, Product, Tree, prod
+from openkpz.treealg.trees import Integ, Monomial, Product, Tree, prod
 
 
 @dataclass(frozen=True)
@@ -52,12 +55,7 @@ class RenormParams:
 
 
 # A node is the list of factors of a (sub)product; an Integ factor carries an
-# edge to the node made of its child's factors.  A slot addresses one factor
-# occurrence: (path of factor indices descending through Integ factors, index).
-Path = Tuple[int, ...]
-Slot = Tuple[Path, int]
-
-
+# edge to the node made of its child's factors.
 def _node_factors(tree: Tree) -> List[Tree]:
     if isinstance(tree, Product):
         return list(tree.factors)
@@ -71,146 +69,46 @@ _PAIR_RULES: Tuple[Tuple[int, Tree, Tree], ...] = (
     (3, PSI, IP_PSI_IP_PSI2),
 )
 
-
-@dataclass(frozen=True)
-class ContractionInstance:
-    """One occurrence of a contraction pattern inside a tree.
-
-    ``rule`` is the L-index.  ``removed`` are the slots that vanish; for L0
-    the slot of the primed integral is additionally recorded in ``spliced``:
-    the integral's remaining content is inlined into its host node.
-    """
-
-    rule: int
-    removed: FrozenSet[Slot]
-    spliced: Optional[Slot] = None
-
-    @property
-    def killed(self) -> FrozenSet[Slot]:
-        """Slots whose whole subtree is destroyed (a spliced slot is not)."""
-        if self.spliced is None:
-            return self.removed
-        return self.removed - {self.spliced}
-
-    def disjoint(self, other: "ContractionInstance") -> bool:
-        """No shared slot, and neither instance sits inside a destroyed subtree."""
-        if self.removed & other.removed:
-            return False
-
-        def inside(slot: Slot, host: Slot) -> bool:
-            path = host[0] + (host[1],)
-            return slot[0][: len(path)] == path
-
-        for a in self.killed:
-            if any(inside(b, a) for b in other.removed):
-                return False
-        for b in other.killed:
-            if any(inside(a, b) for a in self.removed):
-                return False
-        return True
+Terms = Iterator[Tuple[List[Tree], sympy.Expr]]
 
 
-def contraction_generator(tree: Tree) -> Iterator[ContractionInstance]:
-    """Yield every single-contraction instance inside ``tree``."""
-
-    def walk(factors: Sequence[Tree], path: Path) -> Iterator[ContractionInstance]:
-        psi_idx = [i for i, f in enumerate(factors) if f == PSI]
-        # L0: Psi here, primed integral here, Psi at the integral's root node.
-        for j, f in enumerate(factors):
-            if not (isinstance(f, Integ) and f.prime):
-                continue
-            inner = _node_factors(f.child)
-            inner_psi = [k for k, g in enumerate(inner) if g == PSI]
-            for i in psi_idx:
-                if i == j:
-                    continue
-                for k in inner_psi:
-                    yield ContractionInstance(
-                        rule=0,
-                        removed=frozenset(
-                            {(path, i), (path, j), (path + (j,), k)}
-                        ),
-                        spliced=(path, j),
-                    )
-        # L1/L2/L3: unordered factor pairs at this node.
+def _node(factors: Sequence[Tree], params: RenormParams) -> Terms:
+    """(factors, weight) for every set of disjoint contractions at or below one node."""
+    if not factors:
+        yield [], sympy.Integer(1)
+        return
+    first, rest = factors[0], factors[1:]
+    for kept, w in _kept(first, params):
+        for out, v in _node(rest, params):
+            yield [kept, *out], w * v
+    for j, other in enumerate(rest):
+        others = [*rest[:j], *rest[j + 1 :]]
+        # L1-L3: both subtrees are dropped.
         for rule, pat1, pat2 in _PAIR_RULES:
-            if pat1 == pat2:
-                for i, j in itertools.combinations(
-                    [i for i, f in enumerate(factors) if f == pat1], 2
-                ):
-                    yield ContractionInstance(rule, frozenset({(path, i), (path, j)}))
-            else:
-                for i, f1 in enumerate(factors):
-                    if f1 != pat1:
-                        continue
-                    for j, f2 in enumerate(factors):
-                        if f2 == pat2 and i != j:
-                            yield ContractionInstance(
-                                rule, frozenset({(path, i), (path, j)})
-                            )
-        # Recurse into integral children.
-        for j, f in enumerate(factors):
-            if isinstance(f, Integ):
-                yield from walk(_node_factors(f.child), path + (j,))
-
-    yield from walk(_node_factors(tree), ())
-
-
-def _contract(tree: Tree, instances: Sequence[ContractionInstance]) -> Optional[Tree]:
-    """Apply pairwise-disjoint instances simultaneously; None means zero."""
-    removed: Dict[Path, set] = {}
-    spliced: Dict[Path, set] = {}
-    for inst in instances:
-        for p, i in inst.removed:
-            removed.setdefault(p, set()).add(i)
-        if inst.spliced is not None:
-            p, i = inst.spliced
-            spliced.setdefault(p, set()).add(i)
-
-    def rebuild(factors: Sequence[Tree], path: Path) -> Optional[List[Tree]]:
-        out: List[Tree] = []
-        gone = removed.get(path, set())
-        inline = spliced.get(path, set())
-        for idx, f in enumerate(factors):
-            if isinstance(f, Integ):
-                child = rebuild(_node_factors(f.child), path + (idx,))
-                if idx in inline:
-                    if child is None:
-                        return None
-                    out.extend(child)
-                    continue
-                if idx in gone:
-                    continue
-                if child is None or not child:
-                    # the integral's content vanished: I(1) = 0
-                    return None
-                out.append(Integ(prod(*child), f.prime))
-            else:
-                if idx in gone:
-                    continue
-                out.append(f)
-        return out
-
-    top = rebuild(_node_factors(tree), ())
-    if top is None:
-        return None
-    return prod(*top)
-
-
-def _contracted_terms(tree: Tree, coeff: sympy.Expr, params: RenormParams):
-    """(tree, weight) for every set of pairwise-disjoint contractions in ``tree``."""
-    instances = list(contraction_generator(tree))
-    for r in range(len(instances) + 1):
-        for subset in itertools.combinations(instances, r):
-            if any(not a.disjoint(b) for a, b in itertools.combinations(subset, 2)):
+            if (first, other) in ((pat1, pat2), (pat2, pat1)):
+                for out, v in _node(others, params):
+                    yield out, -params.weight(rule) * v
+        # L0: the Psi is dropped and the primed integral's content, minus one
+        # Psi at its root, is spliced into this node.
+        for psi, integ in ((first, other), (other, first)):
+            if psi != PSI or not (isinstance(integ, Integ) and integ.prime):
                 continue
-            contracted = _contract(tree, subset)
-            if contracted is None:
-                continue
-            weight = coeff
-            for inst in subset:
-                weight = weight * (-params.weight(inst.rule))
-            yield contracted, weight
+            inner = _node_factors(integ.child)
+            for k in (k for k, g in enumerate(inner) if g == PSI):
+                for spliced, u in _node(inner[:k] + inner[k + 1 :], params):
+                    for out, v in _node(others, params):
+                        yield [*spliced, *out], -params.C0 * u * v
+
+
+def _kept(factor: Tree, params: RenormParams) -> Iterator[Tuple[Tree, sympy.Expr]]:
+    """(factor, weight) for every set of disjoint contractions inside a kept factor."""
+    if not isinstance(factor, Integ):
+        yield factor, sympy.Integer(1)
+        return
+    for child, w in _node(_node_factors(factor.child), params):
+        content = prod(*child)
+        if not isinstance(content, Monomial):  # I(X^l) = 0
+            yield Integ(content, factor.prime), w
 
 
 def renormalize(params: RenormParams, x: TreeCombination | Tree) -> TreeCombination:
@@ -218,5 +116,7 @@ def renormalize(params: RenormParams, x: TreeCombination | Tree) -> TreeCombinat
     if not isinstance(x, TreeCombination):
         x = TreeCombination.single(x)
     return TreeCombination(
-        term for tree, coeff in x.items() for term in _contracted_terms(tree, coeff, params)
+        (prod(*factors), coeff * w)
+        for tree, coeff in x.items()
+        for factors, w in _node(_node_factors(tree), params)
     )

@@ -9,7 +9,6 @@ equals kappa.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List
 
@@ -34,49 +33,30 @@ ALPHAS: List[ExactDegree] = [
 ]
 
 
-@dataclass(frozen=True)
-class SectorRow:
-    index: int
-    alpha: ExactDegree
-    gamma: ExactDegree
-    eta: ExactDegree
-    sigma: ExactDegree
-    mu: ExactDegree
-
-
-def sector_exponents() -> List[SectorRow]:
-    """The six output sectors (gamma_i, eta_i, sigma_i, mu_i) for i = 0..5."""
-    one = _d(1)
-    two = _d(2)
-    gamma_i = _d(0, 1)  # kappa, for every i
-
-    def row(i, eta_i, sigma_i, mu_i):
-        return SectorRow(i, ALPHAS[i], gamma_i, eta_i, sigma_i, mu_i)
-
-    a4 = ALPHAS[4]
-    return [
-        # squares of the rough derivative: exponents double and drop by 2
-        row(0, (ETA - one) * 2, (SIGMA - one) * 2, (ETA - one) * 2),
-        # cross terms with the derivative remainder
-        row(1, ETA - one + a4, SIGMA - one + a4, ETA - one + a4),
-        # the purely rough square keeps its own regularity everywhere
-        row(2, ALPHAS[2], ALPHAS[2], ALPHAS[2]),
-        # linear terms in the derivative of the remainder
-        row(3, ETA - one, SIGMA - one, ETA - one),
-        # linear terms in the rough derivative
-        row(4, a4, a4, a4),
-        # constant (unit) contributions
-        row(5, ALPHAS[5], ALPHAS[5], ALPHAS[5]),
-    ]
-
-
 def sector_table() -> Dict[str, ExactDegree]:
-    """Flat name -> exponent map, convenient for reporting and tests."""
+    """Name -> exponent: gamma, eta, sigma, then alpha_i, gamma_i, eta_i, sigma_i
+    and mu_i of the six output sectors i = 0..5."""
+    one = _d(1)
+    a4 = ALPHAS[4]
+    outputs = [  # (eta_i, sigma_i, mu_i)
+        # squares of the rough derivative: exponents double and drop by 2
+        ((ETA - one) * 2, (SIGMA - one) * 2, (ETA - one) * 2),
+        # cross terms with the derivative remainder
+        (ETA - one + a4, SIGMA - one + a4, ETA - one + a4),
+        # the purely rough square keeps its own regularity everywhere
+        (ALPHAS[2], ALPHAS[2], ALPHAS[2]),
+        # linear terms in the derivative of the remainder
+        (ETA - one, SIGMA - one, ETA - one),
+        # linear terms in the rough derivative
+        (a4, a4, a4),
+        # constant (unit) contributions
+        (ALPHAS[5], ALPHAS[5], ALPHAS[5]),
+    ]
     out: Dict[str, ExactDegree] = {"gamma": GAMMA, "eta": ETA, "sigma": SIGMA}
-    for r in sector_exponents():
-        out[f"alpha_{r.index}"] = r.alpha
-        out[f"gamma_{r.index}"] = r.gamma
-        out[f"eta_{r.index}"] = r.eta
-        out[f"sigma_{r.index}"] = r.sigma
-        out[f"mu_{r.index}"] = r.mu
+    for i, (eta_i, sigma_i, mu_i) in enumerate(outputs):
+        out[f"alpha_{i}"] = ALPHAS[i]
+        out[f"gamma_{i}"] = _d(0, 1)  # kappa, for every i
+        out[f"eta_{i}"] = eta_i
+        out[f"sigma_{i}"] = sigma_i
+        out[f"mu_{i}"] = mu_i
     return out

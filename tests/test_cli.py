@@ -272,6 +272,8 @@ class TestDegenerateInput:
          "thinning must be at least 1 (thinning=0)"),
         (["sample-stationary", "--u", 1, "--v", 1, "--n-samples", 0],
          "n_samples must be at least 1 (n_samples=0)"),
+        (["simulate", "--save-times", "abc"], "--save-times entry 'abc' is not a number"),
+        (["simulate", "--save-times", "0.5, 1e"], "--save-times entry '1e' is not a number"),
     ], ids=["simulate-dx-0", "simulate-dx-negative", "sample-stationary-dx-0",
             "coupling-dx-0", "ergodic-dx-negative", "robin-grid-0", "constant-a-cells-0",
             "bm-drift-n-samples-0", "robin-u-nan", "simulate-u-nan", "coupling-u-nan",
@@ -283,9 +285,27 @@ class TestDegenerateInput:
             "robin-t-overflows-step-count", "simulate-t-final-above-step-bound",
             "simulate-paths-1", "constant-a-time-radius-inf", "constant-a-time-radius-nan",
             "constant-a-space-radius-inf", "constant-a-space-radius-nan", "neumann-images-0",
-            "pcn-rho-1.5", "pcn-burn-in-negative", "pcn-thinning-0", "pcn-n-samples-0"])
+            "pcn-rho-1.5", "pcn-burn-in-negative", "pcn-thinning-0", "pcn-n-samples-0",
+            "simulate-save-times-abc", "simulate-save-times-second-entry"])
     def test_config_error_names_the_value(self, tmp_path, capsys, argv, message):
         assert run(["--out-dir", tmp_path / "out", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, line, message", [
+        (["simulate"], "dx = abc", "[simulate] dx = 'abc' is not a number"),
+        (["simulate"], "paths = 1.5", "[simulate] paths = '1.5' is not an integer"),
+        (["kernel"], "grid = 2.5", "[kernel] grid = '2.5' is not an integer"),
+        (["experiment", "coupling"], "t-final = 1s",
+         "[experiment.coupling] t_final = '1s' is not a number"),
+    ], ids=["simulate-dx-abc", "simulate-paths-1.5", "kernel-grid-2.5", "coupling-t-final-1s"])
+    def test_unparseable_config_value_names_the_key(self, tmp_path, capsys, argv, line,
+                                                   message):
+        cfg = tmp_path / "run.ini"
+        section = ".".join(argv)
+        cfg.write_text(f"[{section}]\n{line}\n")
+        assert run(["--config", cfg, "--out-dir", tmp_path / "out", *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and message in err
         assert not (tmp_path / "out").exists()

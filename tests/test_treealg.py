@@ -11,6 +11,7 @@ from openkpz.treealg import (
     CoproductDomainError,
     ExactDegree,
     GrammarError,
+    Integ,
     RenormParams,
     basis_tree,
     check_structure_group,
@@ -180,6 +181,27 @@ class TestRenormalization:
         for name in BASIS_NAMES:
             x = TreeCombination.single(basis_tree(name))
             assert renormalize(params, x) == x, name
+
+    def test_integral_of_a_contracted_monomial_is_zero(self):
+        # L1 leaves I'(X1), which is 0: only the uncontracted tree survives
+        psi = basis_tree("<1d>")
+        tree = Integ(prod(psi, psi, X1), prime=True)
+        assert renormalize(RenormParams.zero(), tree) == TreeCombination.single(tree)
+        assert renormalize(RenormParams(), tree) == TreeCombination.single(tree)
+
+    @pytest.mark.parametrize("base, weight", [("<1d>", "C1"), ("<2d1d>", "C2")])
+    @pytest.mark.parametrize("n", range(9))
+    def test_power_sums_over_pair_matchings(self, base, weight, n):
+        # Only one pair rule acts on base^n (inside I'(Psi^2), L1 leaves I'(1) = 0),
+        # so M_g base^n = sum_j #(j-pair matchings) (-C)^j base^(n-2j).
+        tree = basis_tree(base)
+        expected = TreeCombination(
+            (prod(*[tree] * (n - 2 * j)),
+             sympy.factorial(n) / (sympy.factorial(j) * 2**j * sympy.factorial(n - 2 * j))
+             * (-SYMBOLS[weight]) ** j)
+            for j in range(n // 2 + 1)
+        )
+        assert renormalize(RenormParams(), prod(*[tree] * n)) == expected
 
 
 class TestExpansion:

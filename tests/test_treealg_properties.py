@@ -6,11 +6,12 @@ from operator import add
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from openkpz.treealg import (
     BASIS_NAMES,
+    X1,
     XI,
     CharacterF,
     ExactDegree,
@@ -28,6 +29,7 @@ from openkpz.treealg import (
     renormalize,
     tree_degree,
 )
+from openkpz.treealg.basis import PSI
 from openkpz.treealg.combination import SYMBOLS, TreeCombination
 from openkpz.treealg.coproduct import PLUS_GENERATORS
 from openkpz.treealg.degree import degree_from_string
@@ -129,6 +131,13 @@ grammar_trees = st.recursive(
     | st.lists(children, min_size=2, max_size=3).map(lambda factors: prod(*factors)),
     max_leaves=8,
 )
+
+
+@LAWS
+@given(grammar_trees)
+@example(Integ(prod(PSI, PSI, X1), prime=True))  # a contraction leaves I'(X1) = 0
+def test_renormalize_with_zero_weights_is_the_identity_on_trees(tree):
+    assert renormalize(RenormParams.zero(), tree) == TreeCombination.single(tree)
 
 
 @SYNTAX
