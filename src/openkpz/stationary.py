@@ -12,7 +12,9 @@ according to a density against a variance-1/2 Brownian motion:
 beta is sampled by preconditioned Crank-Nicolson (pCN) Metropolis, whose
 proposal preserves the Gaussian reference exactly, so acceptance uses only
 the weight ratio.  The importance-sampling cross-check oracles stream N iid
-reference paths in row blocks: O(N (k + 1)) floats for k points plus one block.
+reference paths beta in row blocks, bit-identical to a full-size draw, and
+draw W only at the k points they report, with the same law as a full path:
+O(N (k + 1)) floats plus one block.
 """
 
 from __future__ import annotations
@@ -28,18 +30,19 @@ BLOCK_ROWS = 4096  # 2048-8192 rows ran alike; 32768 ran slower
 
 
 class RegimeError(ValueError):
-    """(u, v) outside the proven stationarity regime."""
+    """(u, v) outside the regime that pCN and importance sampling serve."""
 
 
 def check_regime(u: float, v: float) -> None:
+    """Accept u + v > 0, min(u, v) > -1, where pCN and importance sampling apply."""
     if not np.isfinite([u, v]).all():
         raise RegimeError(f"(u, v) = ({u}, {v}): the slopes must be finite")
     if u + v > 0 and min(u, v) > -1:
         return
-    raise RegimeError(
-        f"(u, v) = ({u}, {v}) is outside the proven regime "
-        "u + v > 0, min(u, v) > -1"
-    )
+    need = "pCN and importance sampling need u + v > 0, min(u, v) > -1"
+    if exact_sampler(u, v):
+        raise RegimeError(f"(u, v) = ({u}, {v}): {need}; u + v = 0 is sample_bm_drift's")
+    raise RegimeError(f"(u, v) = ({u}, {v}): {need}")
 
 
 def exact_sampler(u: float, v: float) -> bool:
@@ -153,6 +156,7 @@ def sample_stationary_mcmc(
     check_regime(u, v)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
     root = np.sqrt(1.0 - cfg.rho**2)
+    scale = np.sqrt(dx / 2.0)
 
     def logw(b: np.ndarray) -> float:
         if zero_exponents:
@@ -161,22 +165,29 @@ def sample_stationary_mcmc(
 
     beta = brownian_half(dx, 1, rng)[0]
     current_logw = logw(beta)
+    # each step repeats brownian_half's draw and arithmetic on reused buffers
+    inc = np.empty(len(beta) - 1)
+    xi, proposal = np.zeros_like(beta), np.empty_like(beta)
     accepted = 0
-    kept = []
+    beta_samples = np.empty((cfg.n_samples, len(beta)))
     logw_series = np.empty(cfg.chain_length)
     for step in range(cfg.chain_length):
-        xi = brownian_half(dx, 1, rng)[0]
-        proposal = root * beta + cfg.rho * xi
+        rng.standard_normal(out=inc)
+        inc *= scale
+        np.add.accumulate(inc, out=xi[1:])
+        np.multiply(root, beta, out=proposal)
+        xi *= cfg.rho
+        proposal += xi
         proposal_logw = logw(proposal)
-        if np.log(rng.uniform()) < proposal_logw - current_logw:
-            beta = proposal
+        if np.log(rng.random()) < proposal_logw - current_logw:
+            beta, proposal = proposal, beta
             current_logw = proposal_logw
             accepted += 1
         logw_series[step] = current_logw
-        if step >= cfg.burn_in and (step - cfg.burn_in) % cfg.thinning == 0:
-            kept.append(beta.copy())
-    beta_samples = np.array(kept[: cfg.n_samples])
-    w_fresh = brownian_half(dx, len(beta_samples), rng)
+        kept, offset = divmod(step - cfg.burn_in, cfg.thinning)
+        if kept >= 0 and offset == 0:
+            beta_samples[kept] = beta
+    w_fresh = brownian_half(dx, cfg.n_samples, rng)
     return McmcResult(
         samples=w_fresh + beta_samples,
         beta_samples=beta_samples,
@@ -186,17 +197,46 @@ def sample_stationary_mcmc(
     )
 
 
+def _grid_indices(x_indices: Sequence[int], dx: float) -> np.ndarray:
+    """x_indices as an index array, each an integer in [0, 1/dx]; else name the bad one."""
+    n = grid_size(dx)
+    indices = list(x_indices)
+    if not indices:
+        raise ValueError("x_indices is empty: name at least one grid index")
+    for index in indices:
+        if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
+            raise ValueError(f"x_indices entry {index!r} is not an integer grid index")
+        if not 0 <= index <= n:
+            raise ValueError(f"x_indices entry {index} lies outside the grid 0..{n}")
+    return np.array(indices, dtype=np.intp)
+
+
+def _add_brownian_half_at(h, dx, rng, x_indices) -> None:
+    """h[:, i] += W(x_indices[i]) for len(h) iid variance-1/2 Brownian motions W.
+
+    W is drawn only at the sorted distinct indices j_1 < ... < j_m, as partial
+    sums of independent N(0, (j_i - j_{i-1}) dx / 2) increments (j_0 = 0) in one
+    (len(h), m) block: the law of full grid paths at those points.
+    """
+    points, where = np.unique(x_indices, return_inverse=True)
+    w = rng.standard_normal(size=(len(h), len(points)))
+    w *= np.sqrt(np.diff(points, prepend=0) * dx / 2.0)
+    np.cumsum(w, axis=1, out=w)
+    for column, point in enumerate(where):
+        h[:, column] += w[:, point]
+
+
 def _reference_pass(u, v, dx, n_samples, rng, x_indices=()):
     """logw of n_samples block-drawn paths, and their x_indices values F-ordered as a full draw."""
     if n_samples < 2:
         raise ValueError(f"n_samples = {n_samples}: need at least 2 reference paths")
-    blocks = [slice(i, min(i + BLOCK_ROWS, n_samples)) for i in range(0, n_samples, BLOCK_ROWS)]
     logw, kept = np.empty(n_samples), np.empty((n_samples, len(x_indices)), order="F")
-    for rows in blocks:
+    for start in range(0, n_samples, BLOCK_ROWS):
+        rows = slice(start, min(start + BLOCK_ROWS, n_samples))
         beta = brownian_half(dx, rows.stop - rows.start, rng)
         logw[rows] = rn_log_weight(beta, u, v, dx)
         kept[rows] = beta[:, x_indices]
-    return logw, kept, blocks
+    return logw, kept
 
 
 def estimate_normalization(
@@ -229,21 +269,23 @@ def importance_sampling_moments(
     """Independent oracle for stationary marginals at the given grid indices.
 
     iid reference paths beta reweighted by the stationary density; h = W + beta
-    with independent W.  Returns means, variances, their standard errors, the ESS
-    and the largest normalised weight, in O(N (k + 1)) floats plus one block.
+    with independent W.  The beta pass streams in row blocks, bit-identical to
+    a full-size draw; W is drawn only at the k points, with a full path's law.
+    Returns means, variances, their standard errors, the ESS and the largest
+    normalised weight, in O(N (k + 1)) floats plus one block.
     """
     check_regime(u, v)
+    x_indices = _grid_indices(x_indices, dx)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    logw, h, blocks = _reference_pass(u, v, dx, n_samples, rng, x_indices)
-    for rows in blocks:
-        h[rows] += brownian_half(dx, rows.stop - rows.start, rng)[:, x_indices]
+    logw, h = _reference_pass(u, v, dx, n_samples, rng, x_indices)
+    _add_brownian_half_at(h, dx, rng, x_indices)
     logw -= logw.max()
     weights = np.exp(logw)
     weights /= weights.sum()
     ess = 1.0 / float(np.sum(weights**2))
     mean = weights @ h
     var = weights @ (h - mean) ** 2
-    mean_se = np.sqrt(weights @ (h - mean) ** 2 / ess)
+    mean_se = np.sqrt(var / ess)
     var_se = np.sqrt(weights @ ((h - mean) ** 2 - var) ** 2 / ess)
     return {
         "mean": mean,

@@ -1,5 +1,6 @@
 """Unit tests for the stationary-measure samplers."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -26,8 +27,12 @@ class TestRegime:
 
     def test_rejects_nonpositive_sum(self):
         # u + v = 0 is served by the exact drifted-Brownian sampler instead.
-        with pytest.raises(RegimeError):
+        with pytest.raises(RegimeError, match=r"u \+ v = 0 is sample_bm_drift's") as caught:
             check_regime(0.5, -0.5)
+        assert "need u + v > 0, min(u, v) > -1" in str(caught.value)
+        with pytest.raises(RegimeError, match=r"need u \+ v > 0") as caught:
+            check_regime(0.5, -0.7)
+        assert "sample_bm_drift" not in str(caught.value)
 
     def test_rejects_slope_below_minus_one(self):
         with pytest.raises(RegimeError):
@@ -101,6 +106,28 @@ class TestMcmc:
         b = sample_stationary_mcmc(1.0, 1.0, cfg, dx=1.0 / 16)
         assert np.array_equal(a.samples, b.samples)
 
+    # SHA-256 of samples, beta_samples, acceptance_rate and autocorr_time as
+    # float64 bytes (numpy 2.4, x86-64): a rewrite of the pCN loop must keep
+    # every bit of the chain.
+    PINNED = {
+        False: ("e3853b6f24db872843495d159d00d13215ada4e6529aa49d3f404a9c999d3a15",
+                "ea1d91316a0f9c2761a14086e5eae5e7902b37476a77dcac0c7650fe3596b179",
+                "9cbeaa765aa89186e2215f9650070fa455fc2d9df59d0fcfb5523755711a5f4d",
+                "9a58926d54bb6224b0cd53abcc9d9b06aba9fa388ac0e2ac4180e6a2afb4c098"),
+        True: ("edcb46cc00dbeaec27faaa3db1bdd38cf14c604abf74dbb1c15d748583f4922f",
+               "4588b0765edc2a7b871ee6aa1ca2b388d695fc8dad1fdc19614114cfed93b81a",
+               "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
+               "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712"),
+    }
+
+    @pytest.mark.parametrize("zero_exponents", [False, True])
+    def test_chain_bytes_pinned(self, zero_exponents):
+        cfg = McmcConfig(rho=0.5, burn_in=100, thinning=2, n_samples=50, seed=9)
+        res = sample_stationary_mcmc(1.0, 1.0, cfg, dx=1.0 / 16, zero_exponents=zero_exponents)
+        got = tuple(hashlib.sha256(np.float64(getattr(res, name)).tobytes()).hexdigest()
+                    for name in ("samples", "beta_samples", "acceptance_rate", "autocorr_time"))
+        assert got == self.PINNED[zero_exponents]
+
     def test_regime_enforced(self):
         with pytest.raises(RegimeError):
             sample_stationary_mcmc(0.5, -0.7, McmcConfig(), dx=1.0 / 16)
@@ -126,9 +153,50 @@ class TestImportanceSampling:
         # sum w_i^2 <= max w_i for normalised weights, so 1/ess <= max_weight <= 1
         assert 1.0 / out["ess"] <= out["max_weight"] <= 1.0
 
+    @pytest.mark.parametrize("x_indices, named", [([-1], "-1"), ([4, 17], "17"),
+                                                  ([2.5], "2.5"), ([True], "True"),
+                                                  ([], "empty")])
+    def test_bad_index_rejected_before_drawing(self, x_indices, named, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("drew paths before checking x_indices")
+
+        monkeypatch.setattr(stationary, "brownian_half", forbidden)
+        with pytest.raises(ValueError, match=named):
+            importance_sampling_moments(1.0, 1.0, 1.0 / 16, 5000, seed=1, x_indices=x_indices)
+
+    def test_w_drawn_only_at_the_points(self, monkeypatch):
+        # the beta pass draws one full-path block per BLOCK_ROWS rows; W adds none
+        calls = []
+        full_draw = stationary.brownian_half
+
+        def counted(dx, n_samples, rng):
+            calls.append(n_samples)
+            return full_draw(dx, n_samples, rng)
+
+        monkeypatch.setattr(stationary, "brownian_half", counted)
+        importance_sampling_moments(1.0, 1.0, 1.0 / 16, BLOCK_ROWS + 1, seed=1, x_indices=[16])
+        assert calls == [BLOCK_ROWS, 1]
+
+
+class TestBrownianAtPoints:
+    def test_covariance_at_unsorted_repeated_points(self):
+        # W(x_i) for x = j dx: Cov = min(x_i, x_j) / 2.  Each empirical second
+        # moment has standard error at most sqrt(2 / 4) / sqrt(n) = 0.0016; 0.01 is 6 of those.
+        dx, n = 1.0 / 16, 200_000
+        indices = np.array([16, 0, 5, 16])
+        values = np.zeros((n, 4))
+        stationary._add_brownian_half_at(values, dx, np.random.default_rng(3), indices)
+        assert np.all(values[:, 1] == 0.0)
+        assert np.array_equal(values[:, 0], values[:, 3])
+        x = indices * dx
+        want = np.minimum(x[:, None], x[None, :]) / 2.0
+        emp = values.T @ values / n
+        assert np.max(np.abs(emp - want)) < 0.01
+        assert np.max(np.abs(values.mean(axis=0))) < 0.01
+
 
 def _full_draw_reference(u, v, dx, n_samples, seed, x_indices):
-    """The oracles as full-size draws: every reference path held at once."""
+    """The oracles as full-size draws: every beta path held at once, W at the points."""
     def generator():
         return np.random.default_rng(np.random.SeedSequence([seed]))
 
@@ -144,8 +212,12 @@ def _full_draw_reference(u, v, dx, n_samples, seed, x_indices):
 
     rng = generator()
     beta = brownian_half(n_samples, rng)
-    w_paths = brownian_half(n_samples, rng)
-    h = (w_paths + beta)[:, list(x_indices)]
+    # W only at the distinct sorted points: independent increments over the gaps
+    points = sorted(set(x_indices))
+    gaps = np.diff([0] + points)
+    w_points = np.cumsum(rng.normal(0.0, np.sqrt(gaps * dx / 2.0), size=(n_samples, len(points))),
+                         axis=1)
+    h = beta[:, list(x_indices)] + w_points[:, [points.index(j) for j in x_indices]]
     logw = log_weight(beta)
     logw -= logw.max()
     weights = np.exp(logw)
@@ -168,12 +240,12 @@ def _full_draw_reference(u, v, dx, n_samples, seed, x_indices):
 
 
 class TestStreamedOracles:
-    """Row-block draws give the full-size draw's numbers, bit for bit."""
+    """Row-block beta draws and W at the points give the full-size draw's numbers, bit for bit."""
 
     @pytest.mark.parametrize("n_samples", [2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
                                            2 * BLOCK_ROWS + 5])
     @pytest.mark.parametrize("u, v, dx, x_indices", [(1.0, 1.0, 1.0 / 16, [0, 8, 16]),
-                                                     (2.0, -0.5, 1.0 / 32, [32, 5])])
+                                                     (2.0, -0.5, 1.0 / 32, np.array([32, 5, 32]))])
     def test_bitwise_equal_to_full_draw(self, n_samples, u, v, dx, x_indices):
         seed = 40 + n_samples
         want, want_z = _full_draw_reference(u, v, dx, n_samples, seed, x_indices)
