@@ -9,8 +9,8 @@ Subpackages/modules:
   Robin via a discrete semigroup) and the boundary renormalization constant.
 - ``shesolver``: Monte Carlo solver for the multiplicative stochastic heat
   equation with Robin boundaries, plus the Hopf-Cole map.
-- ``stationary``: samplers for the stationary measure (exact Brownian case
-  and a pCN chain for the reweighted case).
+- ``stationary``: samplers for the stationary measure (exact Brownian case,
+  pCN chain), its Monte Carlo normalisation, importance-sampling oracles.
 - ``harness``: reproducible statistical experiments (stationarity, ergodic
   averages, noise-coupling decay).
 - ``cli``: command line entry point.

@@ -230,14 +230,11 @@ def cmd_simulate(args) -> int:
                               seed=resolved["seed"], save_times=saves)
     params = shesolver.BoundaryParams(resolved["u"], resolved["v"])
     result = shesolver.simulate_she(np.ones(cfg.n + 1), params, cfg)
-    kept = int((~result.positivity_lost).sum())
-    if kept < 2:
-        raise RuntimeError(f"positivity exclusion left {kept} of {n_paths} paths, "
-                           "fewer than the 2 needed; refine the grid")
+    kept = result.kept(2)
     xs = np.linspace(0.0, 1.0, cfg.n + 1).tolist()
     rows = []
     for t in sorted(result.snapshots):
-        z = result.valid(t)
+        z = result.snapshots[t][kept]
         rows.extend(zip(repeat(t), xs, z.mean(axis=0).tolist(),
                         z.var(axis=0, ddof=1).tolist(), repeat(len(z))))
     path = _out_dir(args) / "simulate.csv"

@@ -74,10 +74,7 @@ def _evolve(h0: np.ndarray, u: float, v: float, dx: float, seed: int,
     h0 = np.atleast_2d(h0)
     cfg = SimConfig(dx=dx, t_final=times[-1], n_paths=len(h0), seed=seed, save_times=times)
     result = simulate_she(np.exp(h0), BoundaryParams(u, v), cfg)
-    kept = ~result.positivity_lost
-    if kept.sum() < min_paths:
-        raise RuntimeError(f"positivity exclusion left {kept.sum()} of {len(h0)} paths, "
-                           f"fewer than the {min_paths} needed; refine the grid")
+    kept = result.kept(min_paths)
     # popped, so that each snapshot is freed once it is in the stack
     h = hopf_cole(np.stack([result.snapshots.pop(t) for t in times])[:, kept])
     return anchor(h), result.exclusion_rate

@@ -1,7 +1,8 @@
 """Monte Carlo solver for the stochastic heat equation with Robin boundaries.
 
 Scheme: semi-implicit Euler-Maruyama.  The linear part (1/2) d^2/dx^2 with
-Robin ghost points is treated by Crank-Nicolson; the Ito term adds
+Robin ghost points is treated by Crank-Nicolson, written as the implicit
+midpoint rule so that a step is one tridiagonal solve; the Ito forcing is
 Z_j eta_j sqrt(dt/dx) per cell and step with independent standard Gaussians
 (the space-time white noise discretization).  Paths that lose positivity
 are flagged and excluded from statistics, never clamped.
@@ -90,6 +91,14 @@ class SheResult:
     def exclusion_rate(self) -> float:
         return float(np.mean(self.positivity_lost))
 
+    def kept(self, min_paths: int) -> np.ndarray:
+        """Mask of the paths that kept positivity; RuntimeError if fewer than ``min_paths``."""
+        kept = ~self.positivity_lost
+        if kept.sum() < min_paths:
+            raise RuntimeError(f"positivity exclusion left {kept.sum()} of {len(kept)} paths, "
+                               f"fewer than the {min_paths} needed; refine the grid")
+        return kept
+
     def valid(self, t: float) -> np.ndarray:
         """Snapshot rows from paths that kept positivity throughout."""
         return self.snapshots[t][~self.positivity_lost]
@@ -108,30 +117,26 @@ def _usable_cpus() -> int:
 class _TridiagonalStep:
     """One Crank-Nicolson step (I - dt/2 L) z' = (I + dt/2 L) z + forcing.
 
-    Acts on the rows of a C-contiguous (paths, n+1) array.  The explicit
-    product works on column slices of the three bands, and the implicit
-    solve uses LAPACK's tridiagonal LU, factored once here: ``z.T`` is the
-    Fortran-ordered right-hand side that ``dgttrs`` overwrites in place.
-    Neither calls BLAS, and ``dgttrs`` releases the GIL, so threads may share
-    one instance: it is read-only after construction.
+    With A = I - dt/2 L the explicit half is 2I - A, so the step is the
+    implicit midpoint rule z' = A^{-1}(2z + forcing) - z: one solve with the
+    tridiagonal LU of A, factored once here.  The transposed (paths, n+1)
+    right-hand side is Fortran-ordered, so ``dgttrs`` solves it in place; the
+    arguments are never written.  ``dgttrs`` calls no BLAS and releases the
+    GIL, so threads may share one instance: it is read-only after construction.
     """
 
     def __init__(self, L, dt: float):
-        half = 0.5 * dt
-        lower, diag, upper = (L.diagonal(k) for k in (-1, 0, 1))
-        self._explicit = (half * lower, 1.0 + half * diag, half * upper)
-        *self._lu, info = dgttrf(-half * lower, 1.0 - half * diag, -half * upper)
+        lower, diag, upper = (-0.5 * dt * L.diagonal(k) for k in (-1, 0, 1))
+        *self._lu, info = dgttrf(lower, 1.0 + diag, upper)
         if info != 0:
             raise ValueError(f"I - dt/2 L is singular (dgttrf info {info})")
 
     def __call__(self, z: np.ndarray, forcing: np.ndarray) -> np.ndarray:
-        lower, diag, upper = self._explicit
-        rhs = z * diag
-        rhs[:, 1:] += lower * z[:, :-1]
-        rhs[:, :-1] += upper * z[:, 1:]
+        rhs = 2.0 * z
         rhs += forcing
-        x, _ = dgttrs(*self._lu, rhs.T, overwrite_b=True)
-        return x.T
+        x = dgttrs(*self._lu, rhs.T, overwrite_b=True)[0].T
+        x -= z
+        return x
 
 
 def simulate_she(z0: np.ndarray, params: BoundaryParams, cfg: SimConfig) -> SheResult:

@@ -1,14 +1,14 @@
 """Unit tests for the Monte Carlo SHE solver and Hopf-Cole utilities."""
 
 import itertools
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from openkpz import shesolver
 from openkpz.grid import MAX_STEPS, default_dt, grid_size, snap_time, time_steps
-from openkpz.kernels import robin_laplacian
+from openkpz.kernels import CrankNicolson, robin_laplacian
 from openkpz.shesolver import BoundaryParams, SimConfig, simulate_she
 
 
@@ -91,6 +91,18 @@ class TestDeterministicLimit:
         oracle = shesolver.robin_semigroup_apply(z0, params, 1.0 / 64, 0.25)
         assert np.max(np.abs(z - oracle)) < 1e-12
 
+    def test_forced_step_matches_reference_propagator(self):
+        dx, params = 1.0 / 32, BoundaryParams(-0.5, 2.0)
+        L = robin_laplacian(grid_size(dx), params.u, params.v)
+        rng = np.random.default_rng(4)
+        z = np.exp(rng.normal(size=(4, grid_size(dx) + 1)))
+        forcing = rng.normal(size=z.shape)
+        got = shesolver._TridiagonalStep(L, default_dt(dx))(z, forcing)
+        cn = CrankNicolson(L, default_dt(dx))
+        for row, zi, fi in zip(got, z, forcing):
+            want = cn.step_with_forcing(zi, fi)
+            assert np.max(np.abs(row - want)) < 1e-13 * np.max(np.abs(want))
+
     def test_step_requires_the_forcing(self):
         step = shesolver._TridiagonalStep(robin_laplacian(4, 0.5, 0.5), default_dt(0.25))
         with pytest.raises(TypeError):
@@ -133,6 +145,46 @@ class TestNoise:
         d = np.abs(np.log(res_a.snapshots[0.0625]) - np.log(res_b.snapshots[0.0625]))
         # shared noise keeps the pair far closer than independent paths would be
         assert d.max() < 0.2
+
+
+def _osc_rise(params, seed_offset):
+    """Largest one-step rise of osc_x(log Z_a - log Z_b) over 64 paths and 256
+    steps, less the rounding tolerance 8 eps max|h|: positive means a rise."""
+    dt = default_dt(1.0 / 32)
+    cfg = SimConfig(dx=1.0 / 32, t_final=256 * dt, n_paths=64, seed=11,
+                    save_times=tuple(k * dt for k in range(257)))
+    x = np.linspace(0, 1, cfg.n + 1)
+    res_a = simulate_she(np.ones_like(x), params, cfg)
+    res_b = simulate_she(np.exp(np.sin(np.pi * x)), params,
+                         replace(cfg, seed=cfg.seed + seed_offset))
+    # with s = sqrt(dt/dx) = 1/8 the explicit half I + dt/2 L + diag(s eta) is
+    # nonnegative unless some eta < -6, so no path loses positivity here
+    assert not (res_a.positivity_lost | res_b.positivity_lost).any()
+    h_a, h_b = (np.log([res.snapshots[t] for t in cfg.save_times]) for res in (res_a, res_b))
+    r = h_a - h_b
+    osc = r.max(axis=2) - r.min(axis=2)
+    tol = 8 * np.finfo(float).eps * max(np.abs(h_a).max(), np.abs(h_b).max())
+    return float(np.diff(osc, axis=0).max()) - tol
+
+
+COUPLING_PARAMS = pytest.mark.parametrize(
+    "params", [BoundaryParams(1.0, 0.0), BoundaryParams(0.5, -0.5),
+               BoundaryParams(-0.5, 2.0), BoundaryParams(3.0, 3.0)],
+    ids=lambda p: f"u={p.u},v={p.v}")
+
+
+class TestCoupling:
+    """One shared noise multiplies both runs by one positive matrix per step,
+    so Hilbert's projective distance osc_x(h_a - h_b) never increases
+    (Birkhoff's contraction theorem)."""
+
+    @COUPLING_PARAMS
+    def test_projective_distance_never_increases(self, params):
+        assert _osc_rise(params, seed_offset=0) <= 0
+
+    @COUPLING_PARAMS
+    def test_unshared_noise_breaks_the_contraction(self, params):
+        assert _osc_rise(params, seed_offset=1) > 0
 
 
 class TestPositivity:
