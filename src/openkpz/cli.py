@@ -32,7 +32,8 @@ EXIT_NUMERICAL = 3
 
 # Per INI section (section experiment.<name> is command "experiment <name>"):
 # option -> default.  Each option is an INI key of that name and a flag
-# --the-name of the default's type.  The master seed is shared.
+# --the-name of the default's type.  The master seed is shared.  The harness
+# experiments have no defaults of their own: their only defaults are here.
 OPTIONS: Dict[str, Dict] = {
     "kernel": {"kind": "neumann", "t": 0.1, "grid": 32, "images": 20, "u": 0.5, "v": 0.5},
     "constant-a": {"time_radius": 1.0, "space_radius": 1.0, "cells": 256},
@@ -56,8 +57,8 @@ OPTIONS: Dict[str, Dict] = {
     },
     "experiment.stationarity": {"u": 0.5, "v": -0.5, "n_samples": 1000, "t_final": 1.0,
                                 "dx": 1.0 / 64},
-    "experiment.ergodic": {"u": 0.5, "v": -0.5, "functional": "endpoint", "t_final": 1.0,
-                           "dx": 1.0 / 64},
+    "experiment.ergodic": {"u": 0.5, "v": -0.5, "functional": "endpoint", "t_final": 20.0,
+                           "dx": 1.0 / 32},
     "experiment.coupling": {"u": 0.5, "v": -0.5, "t_final": 1.0, "dx": 1.0 / 64},
 }
 # Per kernel kind and sampler: the options it reads, which with the seed are

@@ -31,6 +31,7 @@ MARGINAL_POINTS = (0.25, 0.5, 0.75, 1.0)
 KS_ALPHA = 0.01  # family-wise level, Bonferroni-split across marginals
 KS_MIN_SAMPLES = 50  # per side, for the asymptotic KS p-value
 BATCHES = 20  # batch means for the standard error of a time average
+MAX_ABS_Z = 3.0  # an ergodic average passes within this many standard errors
 CHECKPOINTS = 8  # times along [0, t_final] at which a coupling run records D(t)
 
 
@@ -51,7 +52,8 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> Tuple[float, float]:
     a = np.asarray(a)
     b = np.asarray(b)
     if len(a) < KS_MIN_SAMPLES or len(b) < KS_MIN_SAMPLES:
-        raise ValueError("ks_two_sample needs at least 50 samples per side")
+        raise ValueError(f"ks_two_sample needs at least {KS_MIN_SAMPLES} samples per side, "
+                         f"got {len(a)} and {len(b)}")
     res = stats.ks_2samp(a, b, method="asymp")
     return float(res.statistic), float(res.pvalue)
 
@@ -83,10 +85,10 @@ def _evolve(h0: np.ndarray, u: float, v: float, dx: float, seed: int,
 def stationarity_experiment(
     u: float,
     v: float,
-    n_samples: int = 1000,
-    t_final: float = 1.0,
-    dx: float = 1.0 / 64,
-    seed: int = 0,
+    n_samples: int,
+    t_final: float,
+    dx: float,
+    seed: int,
     initial: np.ndarray | None = None,
     wrong_laws: Mapping[str, np.ndarray] | None = None,
 ) -> TestReport | Tuple[TestReport, ...]:
@@ -139,7 +141,7 @@ def stationarity_experiment(
             thresholds={
                 "family_alpha": KS_ALPHA,
                 "per_marginal_alpha": per_marginal,
-                "correction": "Bonferroni over 4 marginals",
+                "correction": f"Bonferroni over {len(MARGINAL_POINTS)} marginals",
             },
             passed=all(p > per_marginal for p in p_values.values()),
             seeds={"sampler": seed, "solver": seed + 1},
@@ -170,10 +172,10 @@ def batch_means_se(series: np.ndarray) -> float:
 def ergodic_average(
     u: float,
     v: float,
-    functional: str = "endpoint",
-    t_final: float = 20.0,
-    dx: float = 1.0 / 32,
-    seed: int = 0,
+    functional: str,
+    t_final: float,
+    dx: float,
+    seed: int,
     n_reference: int = 4000,
     sample_stride: int = 8,
 ) -> TestReport:
@@ -211,8 +213,8 @@ def ergodic_average(
             "se_ensemble": se_ref,
             "z_score": z,
         },
-        thresholds={"max_abs_z": 3.0},
-        passed=abs(z) <= 3.0,
+        thresholds={"max_abs_z": MAX_ABS_Z},
+        passed=abs(z) <= MAX_ABS_Z,
         seeds={"initial": seed, "solver": seed + 1, "reference": seed + 2},
     )
 
@@ -222,9 +224,9 @@ def coupling_experiment(
     v: float,
     h0_a: np.ndarray,
     h0_b: np.ndarray,
-    t_final: float = 1.0,
-    dx: float = 1.0 / 32,
-    seed: int = 0,
+    t_final: float,
+    dx: float,
+    seed: int,
 ) -> TestReport:
     """Evolve two initial states under the same noise; report D(t) decay.
 

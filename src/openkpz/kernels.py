@@ -19,7 +19,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 from scipy.special import erf
 
-from openkpz.grid import check_time, step_count, time_steps
+from openkpz.grid import check_time, step_count
 
 SPECTRAL_MODES = 200  # eigenmodes in the spectral Neumann oracle
 RANNACHER_STEPS = 2  # CN steps replaced by implicit-Euler half-step pairs
@@ -139,8 +139,8 @@ def robin_kernel(t: float, u: float, v: float, n: int = 256) -> np.ndarray:
     if n < 1:
         raise ValueError(f"robin_kernel needs a grid of n >= 1 cells (n={n})")
     step_count(t, 1.0 / (8 * n))  # bounds the horizon before t * 8 * n can overflow
-    dt = t / max(64, int(round(t * 8 * n)))
-    n_steps = time_steps(t, dt)
+    n_steps = max(64, round(t * 8 * n))
+    dt = t / n_steps
     weights = np.full(n + 1, 1.0 / n)
     weights[0] *= 0.5
     weights[-1] *= 0.5

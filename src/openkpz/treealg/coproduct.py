@@ -201,25 +201,24 @@ def compose_gamma(f: CharacterF, g: CharacterF) -> CharacterF:
     """Character h with Gamma_f o Gamma_g = Gamma_h on the whole basis.
 
     The generator values of h are read off the composed action by matching
-    coefficients (triangularity makes the extraction sequential); the
-    resulting map is then verified on all basis elements.
+    coefficients, one rule for every generator; the resulting map is then
+    verified on all basis elements.
     """
 
     def composed(tree: Tree) -> TreeCombination:
         return gamma_f(f, gamma_f(g, tree))
 
-    values: Dict[str, sympy.Expr] = {}
-    values["a"] = composed(X1).coeff(ONE)
-    values["b"] = composed(basis_tree("<1>")).coeff(ONE)
-    values["c"] = composed(basis_tree("<2d1>")).coeff(ONE)
-    img_1d1 = composed(basis_tree("<1d1>"))
-    values["g"] = img_1d1.coeff(X1)
-    values["d"] = sympy.expand(img_1d1.coeff(ONE) - values["a"] * values["g"])
-    img_2d2d1 = composed(basis_tree("<2d2d1>"))
-    values["w"] = img_2d2d1.coeff(X1)
-    values["h"] = sympy.expand(img_2d2d1.coeff(ONE) - values["a"] * values["w"])
+    a = composed(X1).coeff(ONE)  # Gamma(X1) = X1 + a 1
 
-    h = CharacterF(tuple(values[name] for _, name in PLUS_GENERATORS))
+    def value(gen: Tree) -> sympy.Expr:
+        if gen == X1:
+            return a
+        if isinstance(gen, Integ) and gen.prime:  # the X1 coefficient of Gamma(I(tau))
+            return composed(Integ(gen.child)).coeff(X1)
+        image = composed(gen)
+        return sympy.expand(image.coeff(ONE) - a * image.coeff(X1))
+
+    h = CharacterF(tuple(value(gen) for gen, _ in PLUS_GENERATORS))
     for name, tree, _ in basis_W():
         if not gamma_f(h, tree) == composed(tree):
             raise GroupClosureError(

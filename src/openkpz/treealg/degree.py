@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import total_ordering
 from fractions import Fraction
 from typing import Union
 
@@ -23,7 +24,8 @@ class AmbiguousDegreeError(ValueError):
     """Comparison depends on the choice of kappa in (0, 1/10)."""
 
 
-@dataclass(frozen=True, order=False)
+@total_ordering
+@dataclass(frozen=True)
 class ExactDegree:
     rational: Fraction
     kappa: Fraction = Fraction(0)
@@ -61,15 +63,6 @@ class ExactDegree:
 
     def __lt__(self, other: "ExactDegree") -> bool:
         return (self - other)._sign() < 0
-
-    def __le__(self, other: "ExactDegree") -> bool:
-        return (self - other)._sign() <= 0
-
-    def __gt__(self, other: "ExactDegree") -> bool:
-        return (self - other)._sign() > 0
-
-    def __ge__(self, other: "ExactDegree") -> bool:
-        return (self - other)._sign() >= 0
 
     def __str__(self) -> str:
         if self.kappa == 0:

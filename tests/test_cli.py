@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface."""
 
 import csv
+import inspect
 import io
 import json
 
@@ -560,6 +561,24 @@ class TestExperiment:
         assert capsys.readouterr().err.startswith(
             "numerical failure: positivity exclusion left 0 of")
         assert not (tmp_path / "out").exists()
+
+    def test_only_the_option_table_holds_experiment_defaults(self):
+        from openkpz import harness
+
+        experiments = {"stationarity": harness.stationarity_experiment,
+                       "ergodic": harness.ergodic_average,
+                       "coupling": harness.coupling_experiment}
+        assert {s for s in cli.OPTIONS if s.startswith("experiment.")} == {
+            f"experiment.{name}" for name in experiments}
+        for name, experiment in experiments.items():
+            params = inspect.signature(experiment).parameters
+            for key in (*cli.OPTIONS[f"experiment.{name}"], "seed"):
+                assert params[key].default is inspect.Parameter.empty, (name, key)
+
+    def test_ergodic_at_default_options_passes(self, tmp_path):
+        # at t_final = 1, dx = 1/64 the batch means were 0.05 time units long,
+        # and this seed failed with z = 5.55
+        assert run(["--seed", 6, "--out-dir", tmp_path, "experiment", "ergodic"]) == 0
 
     @pytest.mark.parametrize("name", ["ergodic", "coupling"])
     def test_off_grid_t_final_is_snapped_and_recorded(self, tmp_path, name):

@@ -25,7 +25,7 @@ class TestKs:
         assert p < 1e-10
 
     def test_small_sample_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least 50 samples per side, got 10 and 100"):
             ks_two_sample(np.zeros(10), np.zeros(100))
 
 
@@ -95,11 +95,11 @@ class TestErgodic:
         monkeypatch.setattr(harness, "sample_stationary_mcmc", unreachable)
         monkeypatch.setattr(harness, "simulate_she", unreachable)
         with pytest.raises(ValueError, match="16 samples"):
-            ergodic_average(0.5, 0.5, t_final=0.25, dx=1.0 / 16, seed=4)
+            ergodic_average(0.5, 0.5, "endpoint", t_final=0.25, dx=1.0 / 16, seed=4)
 
     def test_unknown_functional_rejected(self):
         with pytest.raises(ValueError):
-            ergodic_average(0.5, -0.5, functional="mystery", t_final=1.0)
+            ergodic_average(0.5, -0.5, functional="mystery", t_final=1.0, dx=1.0 / 32, seed=0)
 
 
 class TestCoupling:

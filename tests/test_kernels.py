@@ -89,6 +89,22 @@ class TestRobin:
         composed = k1 @ (w[:, None] * k1)
         assert np.max(np.abs(composed - k2)) < 2e-3
 
+    def test_long_horizon_runs_the_step_count_it_chose(self, monkeypatch):
+        # at this horizon n_steps * dt misses t by more than grid.time_steps'
+        # 1e-9 tolerance through float rounding alone
+        class Recorder:
+            def __init__(self, laplacian, dt):
+                self.dt = dt
+
+            def advance(self, z, n_steps):
+                return self.dt, n_steps
+
+        monkeypatch.setattr(kernels, "RannacherPropagator", Recorder)
+        t = 10221459.13
+        dt, n_steps = kernels.robin_kernel(t, 0.5, 0.5, n=1)
+        assert n_steps == round(8 * t)
+        assert dt == t / n_steps
+
     @pytest.mark.parametrize("u, v", [(np.nan, 0.5), (0.5, np.inf)])
     def test_nonfinite_slope_rejected(self, u, v):
         with pytest.raises(ValueError, match=rf"slopes must be finite \(u={u}, v={v}\)"):

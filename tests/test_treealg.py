@@ -1,5 +1,6 @@
 """Unit tests for the exact symbolic tree algebra."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import sympy
 
 from openkpz.treealg import (
     BASIS_NAMES,
+    AmbiguousDegreeError,
     CharacterF,
     CoproductDomainError,
     ExactDegree,
@@ -51,6 +53,13 @@ class TestDegrees:
         hi = ExactDegree(Fraction(-3, 2), Fraction(1))
         assert lo < mid < hi
         assert not hi < lo
+
+    def test_ambiguous_pair_raises_on_every_comparison(self):
+        # kappa - 1/20 changes sign inside kappa's interval (0, 1/10)
+        kappa, twentieth = ExactDegree(0, 1), ExactDegree(Fraction(1, 20))
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(AmbiguousDegreeError):
+                compare(kappa, twentieth)
 
     def test_basis_degrees(self):
         expected = {
