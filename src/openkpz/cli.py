@@ -113,6 +113,8 @@ def _resolve(args: argparse.Namespace, section: str) -> Tuple[Dict, Set[str]]:
         if value is not None:
             resolved[key] = value
             explicit.add(key)
+    if resolved["seed"] < 0:
+        raise ConfigError(f"seed must be a non-negative integer (seed={resolved['seed']})")
     return resolved, explicit
 
 
@@ -219,11 +221,8 @@ def cmd_simulate(args) -> int:
     dx = resolved["dx"]
     dt = default_dt(dx)
     t_final = snap_time(resolved["t_final"], dt)
-    saves = (
-        tuple(snap_time(_parse(float, s, "--save-times entry"), dt)
-              for s in map(str.strip, resolved["save_times"].split(",")) if s)
-        or (t_final,)
-    )
+    saves = tuple(snap_time(_parse(float, s, "--save-times entry"), dt)
+                  for s in map(str.strip, resolved["save_times"].split(",")) if s)
     n_paths = resolved["paths"]
     if n_paths < 2:
         raise ConfigError(f"--paths must be at least 2 for a variance (paths={n_paths})")
@@ -231,11 +230,11 @@ def cmd_simulate(args) -> int:
                               seed=resolved["seed"], save_times=saves)
     params = shesolver.BoundaryParams(resolved["u"], resolved["v"])
     result = shesolver.simulate_she(np.ones(cfg.n + 1), params, cfg)
-    kept = result.kept(2)
+    result.kept(2)  # fewer than the 2 paths a variance needs is a numerical failure
     xs = np.linspace(0.0, 1.0, cfg.n + 1).tolist()
     rows = []
     for t in sorted(result.snapshots):
-        z = result.snapshots[t][kept]
+        z = result.valid(t)
         rows.extend(zip(repeat(t), xs, z.mean(axis=0).tolist(),
                         z.var(axis=0, ddof=1).tolist(), repeat(len(z))))
     path = _out_dir(args) / "simulate.csv"
@@ -285,7 +284,7 @@ def cmd_experiment(args) -> int:
 
     resolved, _ = _resolve(args, f"experiment.{args.name}")
     if args.name == "stationarity":
-        report = harness.stationarity_experiment(**resolved)
+        report, = harness.stationarity_experiment(**resolved)
     elif args.name == "ergodic":
         report = harness.ergodic_average(**resolved)
     else:  # coupling

@@ -1,8 +1,11 @@
 """Statistical experiments: stationarity, ergodic averages, coupling.
 
-Every experiment returns a TestReport that records its parameters, seeds,
-statistics, and the pre-declared thresholds used for any pass/fail verdict,
-so a report is reproducible bit-exactly from its own contents.
+Every experiment returns a TestReport of its statistics, the pre-declared
+thresholds of any pass/fail verdict, and as ``parameters`` the keyword
+arguments of its call, the seed and the snapped t_final included:
+``f(**report.parameters)`` returns the same report.  The arrays a call takes
+are not recorded: coupling's two starts, and stationarity's wrong laws, for
+which it returns one report each after its own, in one tuple.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ class TestReport:
     statistics: Dict
     thresholds: Dict
     passed: bool | None
-    seeds: Dict
 
 
 def ks_two_sample(a: np.ndarray, b: np.ndarray) -> Tuple[float, float]:
@@ -89,50 +91,38 @@ def stationarity_experiment(
     t_final: float,
     dx: float,
     seed: int,
-    initial: np.ndarray | None = None,
     wrong_laws: Mapping[str, np.ndarray] | None = None,
-) -> TestReport | Tuple[TestReport, ...]:
+) -> Tuple[TestReport, ...]:
     """KS-compare anchored marginals of a stationary start at times 0 and T.
 
     The time-0 reference ensemble is drawn fresh and independently of the
     evolved ensemble (2 n_samples draws, split), keeping the two KS samples
-    independent.  ``initial`` overrides the evolved ensemble's start.
-    ``wrong_laws`` maps labels to further reference ensembles: the one
-    evolved ensemble is KS-tested against each as well, and the reports come
-    back as a tuple, the fresh reference's first and then one per label.
-    Controls pass deliberately wrong arrays: a wrong initial state
-    demonstrates sensitivity at short horizons, a wrong reference law
-    demonstrates it at any horizon (the dynamics relax wrong starts, never
-    wrong references).
+    independent.  ``wrong_laws`` maps labels to further reference ensembles:
+    the one evolved ensemble is KS-tested against each as well.  Returns one
+    report per reference, the fresh reference's first.  A deliberately wrong
+    reference law is a control that must fail at any horizon: the dynamics
+    relax wrong starts, never wrong references.
     """
     if n_samples < KS_MIN_SAMPLES:
         raise ValueError(f"n_samples = {n_samples}; the KS test needs at least {KS_MIN_SAMPLES}")
     t_final = snap_time(t_final, default_dt(dx))
     drawn = _initial_ensemble(u, v, 2 * n_samples, dx, seed)
-    h0 = drawn[n_samples:] if initial is None else np.asarray(initial, dtype=float)
-    (h_t,), exclusion_rate = _evolve(h0, u, v, dx, seed + 1, (t_final,), KS_MIN_SAMPLES)
+    (h_t,), exclusion_rate = _evolve(drawn[n_samples:], u, v, dx, seed + 1, (t_final,),
+                                     KS_MIN_SAMPLES)
 
     n = grid_size(dx)
     per_marginal = KS_ALPHA / len(MARGINAL_POINTS)
-
-    def report(reference: np.ndarray, name: str, wrong: bool) -> TestReport:
-        p_values = {}
-        ks_stats = {}
+    reports = []
+    for name, reference in [("stationarity", drawn[:n_samples]), *(wrong_laws or {}).items()]:
+        reference = anchor(reference)
+        ks_stats, p_values = {}, {}
         for x in MARGINAL_POINTS:
             j = round(x * n)
-            stat, p = ks_two_sample(anchor(reference)[:, j], h_t[:, j])
-            p_values[str(x)] = p
-            ks_stats[str(x)] = stat
-        return TestReport(
+            ks_stats[str(x)], p_values[str(x)] = ks_two_sample(reference[:, j], h_t[:, j])
+        reports.append(TestReport(
             experiment=name,
-            parameters={
-                "u": u,
-                "v": v,
-                "n_samples": n_samples,
-                "t_final": t_final,
-                "dx": dx,
-                "wrong_law_control": wrong,
-            },
+            parameters={"u": u, "v": v, "n_samples": n_samples, "t_final": t_final, "dx": dx,
+                        "seed": seed},
             statistics={
                 "ks": ks_stats,
                 "p_values": p_values,
@@ -144,14 +134,8 @@ def stationarity_experiment(
                 "correction": f"Bonferroni over {len(MARGINAL_POINTS)} marginals",
             },
             passed=all(p > per_marginal for p in p_values.values()),
-            seeds={"sampler": seed, "solver": seed + 1},
-        )
-
-    own = report(drawn[:n_samples], "stationarity", initial is not None)
-    if wrong_laws is None:
-        return own
-    return (own, *(report(np.asarray(ref, dtype=float), name, True)
-                   for name, ref in wrong_laws.items()))
+        ))
+    return tuple(reports)
 
 
 FUNCTIONALS: Dict[str, Callable[[np.ndarray, float], np.ndarray]] = {
@@ -205,7 +189,8 @@ def ergodic_average(
     z = (time_avg - ref_mean) / se if se > 0 else 0.0
     return TestReport(
         experiment="ergodic_average",
-        parameters={"u": u, "v": v, "functional": functional, "t_final": t_final, "dx": dx},
+        parameters={"u": u, "v": v, "functional": functional, "t_final": t_final, "dx": dx,
+                    "seed": seed, "n_reference": n_reference, "sample_stride": sample_stride},
         statistics={
             "time_average": time_avg,
             "ensemble_mean": ref_mean,
@@ -215,7 +200,6 @@ def ergodic_average(
         },
         thresholds={"max_abs_z": MAX_ABS_Z},
         passed=abs(z) <= MAX_ABS_Z,
-        seeds={"initial": seed, "solver": seed + 1, "reference": seed + 2},
     )
 
 
@@ -245,9 +229,8 @@ def coupling_experiment(
     curve.update(zip((f"{t:.6g}" for t in save_times), np.abs(h_a - h_b).max(axis=(1, 2))))
     return TestReport(
         experiment="coupling",
-        parameters={"u": u, "v": v, "t_final": t_final, "dx": dx},
+        parameters={"u": u, "v": v, "t_final": t_final, "dx": dx, "seed": seed},
         statistics={"distance_curve": curve, "d_initial": d0, "d_final": curve[f"{t_final:.6g}"]},
         thresholds={"note": "exploratory: decay curve only, no pass/fail"},
         passed=None,
-        seeds={"noise": seed},
     )

@@ -71,11 +71,15 @@ class SimConfig:
         return time_steps(self.t_final, self.dt)
 
     def save_step_indices(self) -> Dict[int, float]:
+        """Step index -> save time; equal times collapse, two times on one step are an error."""
         dt, n_steps = self.dt, self.n_steps
-        out = {time_steps(t, dt): t for t in self.save_times or (self.t_final,)}
-        for k, t in out.items():
+        out: Dict[int, float] = {}
+        for t in self.save_times or (self.t_final,):
+            k = time_steps(t, dt)
             if not 0 <= k <= n_steps:
                 raise ValueError(f"save time {t} lies outside [0, t_final]")
+            if out.setdefault(k, t) != t:
+                raise ValueError(f"save times {out[k]} and {t} fall on one step (k={k})")
         return out
 
 

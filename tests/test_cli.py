@@ -311,6 +311,26 @@ class TestDegenerateInput:
         assert err.startswith("configuration error: ") and message in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "kernel", "experiment.coupling"])
+    @pytest.mark.parametrize("source", ["flag", "ini"])
+    def test_negative_seed_rejected_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                   command, source):
+        from openkpz import harness, kernels, shesolver
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ran before checking the seed")
+
+        for module, name in [(shesolver, "simulate_she"), (harness, "simulate_she"),
+                             (kernels, "neumann_kernel")]:
+            monkeypatch.setattr(module, name, forbidden)
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[{command}]\nseed = -1\n")
+        seed = ["--config", ini] if source == "ini" else ["--seed", -1]
+        assert run([*seed, "--out-dir", tmp_path / "out", *command.split(".")]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: seed must be a non-negative integer (seed=-1)\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv, message", [
         (["sample-stationary", "--u", "inf", "--dx", 0.25, "--n-samples", 5, "--burn-in", 10,
           "--thinning", 1, "--normalization-samples", 100], "(u, v) = (inf, 1.0)"),

@@ -54,7 +54,7 @@ class TestBatchMeans:
 
 class TestStationarity:
     def test_exact_regime_passes(self):
-        report = stationarity_experiment(
+        report, = stationarity_experiment(
             0.5, -0.5, n_samples=300, t_final=0.125, dx=1.0 / 32, seed=0
         )
         assert report.passed
@@ -62,18 +62,19 @@ class TestStationarity:
 
     def test_wrong_law_control_fails(self):
         n = 32
-        wrong = np.zeros((300, n + 1))  # flat start is far from stationarity
-        report = stationarity_experiment(
+        wrong = np.zeros((300, n + 1))  # a flat law is far from stationarity
+        report, control = stationarity_experiment(
             0.5, -0.5, n_samples=300, t_final=0.125, dx=1.0 / 32, seed=0,
-            initial=wrong,
+            wrong_laws={"flat": wrong},
         )
-        assert not report.passed
+        assert report.passed and not control.passed
+        assert control.experiment == "flat"
 
     def test_report_serializes(self):
         import dataclasses
         import json
 
-        report = stationarity_experiment(
+        report, = stationarity_experiment(
             0.5, -0.5, n_samples=120, t_final=0.0625, dx=1.0 / 32, seed=1
         )
         json.dumps(dataclasses.asdict(report))
@@ -100,6 +101,28 @@ class TestErgodic:
     def test_unknown_functional_rejected(self):
         with pytest.raises(ValueError):
             ergodic_average(0.5, -0.5, functional="mystery", t_final=1.0, dx=1.0 / 32, seed=0)
+
+
+class TestReportIsItsCall:
+    """A report's parameters are its call's arguments: rerunning them gives the report."""
+
+    def test_stationarity(self):
+        # 0.1 is off the dt = 1/128 grid: the recorded horizon is the snapped one
+        report, = stationarity_experiment(0.5, -0.5, n_samples=60, t_final=0.1, dx=1.0 / 8,
+                                          seed=5)
+        assert report.parameters["t_final"] == 13 / 128
+        assert stationarity_experiment(**report.parameters) == (report,)
+
+    def test_ergodic(self):
+        report = ergodic_average(1.0, 0.5, "max", t_final=0.3, dx=1.0 / 8, seed=5,
+                                 n_reference=60, sample_stride=1)
+        assert ergodic_average(**report.parameters) == report
+
+    def test_coupling(self):
+        x = np.linspace(0, 1, 9)
+        starts = {"h0_a": np.zeros_like(x), "h0_b": np.sin(np.pi * x)}
+        report = coupling_experiment(0.5, -0.5, **starts, t_final=0.1, dx=1.0 / 8, seed=5)
+        assert coupling_experiment(**starts, **report.parameters) == report
 
 
 class TestCoupling:

@@ -36,6 +36,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             cfg.save_step_indices()
 
+    def test_two_save_times_on_one_step_rejected(self):
+        equal = SimConfig(dx=0.25, t_final=1.0, save_times=(0.5, 0.5, 1.0))
+        assert equal.save_step_indices() == {16: 0.5, 32: 1.0}
+        # dt = 1/32: both times are within time_steps' tolerance of step 16
+        cfg = SimConfig(dx=0.25, t_final=1.0, n_paths=2, save_times=(0.5, 0.5 + 1e-12))
+        with pytest.raises(ValueError, match=r"save times 0\.5 and 0\.500000000001 fall on "
+                                             r"one step \(k=16\)"):
+            cfg.save_step_indices()
+
     @pytest.mark.parametrize("dx", [0.0, -0.25, float("nan"), float("inf")])
     def test_grid_rejects_dx_that_is_not_positive_and_finite(self, dx):
         with pytest.raises(ValueError, match=rf"positive and finite \(dx={dx}\)"):
