@@ -3,7 +3,8 @@ sample-stationary | experiment {stationarity, ergodic, coupling}.
 
 Options come from an INI file section ([experiment.<name>] per experiment)
 overridden by flags; a flag or key that no run of the command reads is
-rejected.  Every artifact embeds the options its run read and the seed, and
+rejected.  Every command, verify-algebra included, checks the shared flags:
+a negative seed or an unreadable config file is a configuration error.  Every artifact embeds the options its run read and the seed, and
 no timestamps, so a rerun with the same seed is byte-identical.  Exit codes:
 0 success, 1 verification mismatch, 2 configuration error, 3 numerical
 failure (such as a path that lost positivity).
@@ -35,6 +36,7 @@ EXIT_NUMERICAL = 3
 # --the-name of the default's type.  The master seed is shared.  The harness
 # experiments have no defaults of their own: their only defaults are here.
 OPTIONS: Dict[str, Dict] = {
+    "verify-algebra": {},
     "kernel": {"kind": "neumann", "t": 0.1, "grid": 32, "images": 20, "u": 0.5, "v": 0.5},
     "constant-a": {"time_radius": 1.0, "space_radius": 1.0, "cells": 256},
     "simulate": {
@@ -157,6 +159,7 @@ def _write_csv(path: Path, resolved: Dict, columns: Sequence[str], body: Iterabl
 def cmd_verify_algebra(args) -> int:
     from openkpz.treealg import verify_golden_tables
 
+    _resolve(args, "verify-algebra")
     report = verify_golden_tables()
     print(report)
     return EXIT_OK if report.all_passed else EXIT_VERIFICATION
@@ -323,12 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("verify-algebra", parents=[common],
-                   help="check the golden tables, structure-group laws and constants")
     experiments = sub.add_parser(
         "experiment", parents=[common], help="statistical experiment with JSON report"
     ).add_subparsers(dest="name", required=True)
     helps = {
+        "verify-algebra": "check the golden tables, structure-group laws and constants",
         "kernel": "emit kernel values as CSV",
         "constant-a": "quadrature of the boundary constant a",
         "simulate": "Monte Carlo SHE ensemble statistics",

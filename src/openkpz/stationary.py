@@ -14,11 +14,15 @@ proposal preserves the Gaussian reference exactly, so acceptance uses only
 the weight ratio.  The importance-sampling cross-check oracles stream N iid
 reference paths beta in row blocks, bit-identical to a full-size draw, and
 draw W only at the k points they report, with the same law as a full path:
-O(N (k + 1)) floats plus one block.
+O(N (k + 1)) floats plus two increment blocks and one path block.  One
+helper thread draws the next block while the current one is weighted; it is
+the only thread that draws, in stream order, so the output does not depend
+on the scheduling.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -26,7 +30,10 @@ import numpy as np
 
 from openkpz.grid import grid_size
 
-BLOCK_ROWS = 4096  # 2048-8192 rows ran alike; 32768 ran slower
+# Rows per block; no bit depends on it.  The pipelined pass over 300 000 paths
+# at dx = 1/64 took 0.44 s at 1024 rows and 0.41 s at 2048, 4096 and 8192
+# (2 vCPUs, medians of 5 alternating rounds); more rows only add memory.
+BLOCK_ROWS = 4096
 
 
 class RegimeError(ValueError):
@@ -76,12 +83,16 @@ def brownian_half(dx: float, n_samples: int, rng: np.random.Generator) -> np.nda
 def rn_log_weight(beta: np.ndarray, u: float, v: float, dx: float) -> np.ndarray:
     """log of the unnormalized stationary density of beta against the reference.
 
-    -2 v beta(1) - (u + v) log int_0^1 exp(-2 beta) dx; np.trapezoid's arithmetic, less its call cost.
+    -2 v beta(1) - (u + v) log int_0^1 exp(-2 beta) dx; np.trapezoid's arithmetic,
+    less its call cost, in two block-sized temporaries in place of five.
     """
     beta = np.asarray(beta, dtype=float)
-    e = np.exp(-2.0 * beta)
-    integral = (dx * (e[..., 1:] + e[..., :-1]) / 2.0).sum(axis=-1)
-    return -2.0 * v * beta[..., -1] - (u + v) * np.log(integral)
+    e = np.multiply(beta, -2.0)
+    np.exp(e, out=e)
+    trapezoids = np.add(e[..., 1:], e[..., :-1])
+    trapezoids *= dx
+    trapezoids /= 2.0
+    return -2.0 * v * beta[..., -1] - (u + v) * np.log(trapezoids.sum(axis=-1))
 
 
 @dataclass(frozen=True)
@@ -226,17 +237,59 @@ def _add_brownian_half_at(h, dx, rng, x_indices) -> None:
         h[:, column] += w[:, point]
 
 
-def _reference_pass(u, v, dx, n_samples, rng, x_indices=()):
-    """logw of n_samples block-drawn paths, and their x_indices values F-ordered as a full draw."""
+def _reference_pass(u, v, dx, n_samples, seed, x_indices=()):
+    """logw of n_samples block-drawn paths, their x_indices values F-ordered as a full draw,
+    and the seed's generator, which has drawn exactly the paths.
+
+    A two-stage pipeline: one helper thread draws the scaled increments of
+    each block, in stream order, into one of two reused buffers, while this
+    thread cumulates the block before into a reused path buffer (column 0
+    stays zero), weighs it with rn_log_weight and keeps its x_indices columns.
+    Only the helper draws, so every bit is a full draw's whatever the
+    scheduling.  The helper runs only the Generator and in-place numpy.
+    """
     if n_samples < 2:
         raise ValueError(f"n_samples = {n_samples}: need at least 2 reference paths")
+    from queue import SimpleQueue  # here: importing this module need not pay for it
+
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    n, scale, starts = grid_size(dx), np.sqrt(dx / 2.0), range(0, n_samples, BLOCK_ROWS)
     logw, kept = np.empty(n_samples), np.empty((n_samples, len(x_indices)), order="F")
-    for start in range(0, n_samples, BLOCK_ROWS):
-        rows = slice(start, min(start + BLOCK_ROWS, n_samples))
-        beta = brownian_half(dx, rows.stop - rows.start, rng)
-        logw[rows] = rn_log_weight(beta, u, v, dx)
-        kept[rows] = beta[:, x_indices]
-    return logw, kept
+    paths = np.zeros((min(BLOCK_ROWS, n_samples), n + 1))
+    free, drawn = SimpleQueue(), SimpleQueue()  # buffers to fill; filled blocks, in order
+    for buffer in np.empty((2, len(paths), n)):
+        free.put(buffer)
+
+    def draw_blocks() -> None:
+        try:
+            for start in starts:
+                buffer = free.get()
+                if buffer is None:  # the calling thread stopped early
+                    return
+                out = buffer[: min(BLOCK_ROWS, n_samples - start)]
+                rng.standard_normal(out=out)  # brownian_half's draw and arithmetic
+                out *= scale
+                drawn.put(buffer)
+        except Exception as exc:  # raised again on the calling thread
+            drawn.put(exc)
+
+    helper = threading.Thread(target=draw_blocks, name="openkpz-reference-draws")
+    helper.start()
+    try:
+        for start in starts:
+            buffer = drawn.get()
+            if isinstance(buffer, Exception):
+                raise buffer
+            rows = slice(start, min(start + BLOCK_ROWS, n_samples))
+            beta = paths[: rows.stop - start]
+            np.cumsum(buffer[: len(beta)], axis=1, out=beta[:, 1:])
+            free.put(buffer)
+            logw[rows] = rn_log_weight(beta, u, v, dx)
+            kept[rows] = beta[:, x_indices]
+    finally:
+        free.put(None)
+        helper.join()
+    return logw, kept, rng
 
 
 def estimate_normalization(
@@ -246,10 +299,9 @@ def estimate_normalization(
     n_samples: int,
     seed: int,
 ) -> Tuple[float, float]:
-    """Monte Carlo normalization: mean of exp(log weight) over iid paths, O(N) + one block."""
+    """Monte Carlo normalization: mean of exp(log weight) over iid paths, O(N) + three blocks."""
     check_regime(u, v)
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    logw = _reference_pass(u, v, dx, n_samples, rng)[0]
+    logw = _reference_pass(u, v, dx, n_samples, seed)[0]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises below
         weights = np.exp(logw)
         estimate, se = float(weights.mean()), float(weights.std(ddof=1) / np.sqrt(n_samples))
@@ -270,23 +322,28 @@ def importance_sampling_moments(
 
     iid reference paths beta reweighted by the stationary density; h = W + beta
     with independent W.  The beta pass streams in row blocks, bit-identical to
-    a full-size draw; W is drawn only at the k points, with a full path's law.
-    Returns means, variances, their standard errors, the ESS and the largest
-    normalised weight, in O(N (k + 1)) floats plus one block.
+    a full-size draw whatever the scheduling of its helper thread, which draws
+    the next block while this one is weighted; W is drawn only at the k points,
+    with a full path's law, after the pass.  Returns means, variances, their
+    standard errors, the ESS and the largest normalised weight, in
+    O(N (k + 1)) floats plus two increment blocks and one path block.
     """
     check_regime(u, v)
     x_indices = _grid_indices(x_indices, dx)
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    logw, h = _reference_pass(u, v, dx, n_samples, rng, x_indices)
+    logw, h, rng = _reference_pass(u, v, dx, n_samples, seed, x_indices)
     _add_brownian_half_at(h, dx, rng, x_indices)
     logw -= logw.max()
     weights = np.exp(logw)
     weights /= weights.sum()
     ess = 1.0 / float(np.sum(weights**2))
     mean = weights @ h
-    var = weights @ (h - mean) ** 2
+    spread = h - mean  # squared and shifted in place: one (N, k) temporary, the same arithmetic
+    spread **= 2
+    var = weights @ spread
     mean_se = np.sqrt(var / ess)
-    var_se = np.sqrt(weights @ ((h - mean) ** 2 - var) ** 2 / ess)
+    spread -= var
+    spread **= 2
+    var_se = np.sqrt(weights @ spread / ess)
     return {
         "mean": mean,
         "var": var,

@@ -34,6 +34,12 @@ class TestVerifyAlgebra:
             "renormalization constants: (C0, 2*C0, 2*C0*a10 + C1 + C2/4 + C3/2)",
         ]
 
+    def test_shared_flags_leave_the_report_unchanged(self, tmp_path, capsys):
+        assert run(["verify-algebra"]) == 0
+        plain = capsys.readouterr().out
+        assert run(["--seed", 3, "verify-algebra", "--out-dir", tmp_path]) == 0
+        assert capsys.readouterr().out == plain
+
     def test_corrupted_golden_row_is_exit_1(self, capsys, monkeypatch):
         from openkpz.treealg import golden
 
@@ -331,6 +337,30 @@ class TestDegenerateInput:
             "configuration error: seed must be a non-negative integer (seed=-1)\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flags, ini, message", [
+        (["--seed", -5], None, "seed must be a non-negative integer (seed=-5)"),
+        ([], "seed = -1", "seed must be a non-negative integer (seed=-1)"),
+        ([], "dx = 0.25", "unknown key 'dx' in section [verify-algebra]"),
+        ([], "", "cannot read config file"),
+    ], ids=["seed-flag", "seed-ini", "unknown-ini-key", "unreadable-config"])
+    def test_verify_algebra_checks_the_shared_flags(self, tmp_path, capsys, monkeypatch,
+                                                   flags, ini, message):
+        from openkpz import treealg
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("checked the algebra before the shared flags")
+
+        monkeypatch.setattr(treealg, "verify_golden_tables", forbidden)
+        cfg = tmp_path / "run.ini"  # ini None: no --config; "": a --config naming no file
+        if ini is not None:
+            flags = ["--config", cfg]
+            if ini:
+                cfg.write_text(f"[verify-algebra]\n{ini}\n")
+        assert run([*flags, "--out-dir", tmp_path / "out", "verify-algebra"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv, message", [
         (["sample-stationary", "--u", "inf", "--dx", 0.25, "--n-samples", 5, "--burn-in", 10,
           "--thinning", 1, "--normalization-samples", 100], "(u, v) = (inf, 1.0)"),
@@ -342,9 +372,9 @@ class TestDegenerateInput:
         from openkpz import stationary
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("drew paths before checking the slopes")
+            raise AssertionError("made a generator before checking the slopes")
 
-        monkeypatch.setattr(stationary, "brownian_half", forbidden)
+        monkeypatch.setattr(stationary.np.random, "default_rng", forbidden)
         assert run(["--out-dir", tmp_path / "out", *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {message}: the slopes must be finite")

@@ -1,6 +1,9 @@
 """Unit tests for the stationary-measure samplers."""
 
 import hashlib
+import inspect
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -158,24 +161,43 @@ class TestImportanceSampling:
                                                   ([], "empty")])
     def test_bad_index_rejected_before_drawing(self, x_indices, named, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("drew paths before checking x_indices")
+            raise AssertionError("made a generator before checking x_indices")
 
-        monkeypatch.setattr(stationary, "brownian_half", forbidden)
+        monkeypatch.setattr(stationary.np.random, "default_rng", forbidden)
         with pytest.raises(ValueError, match=named):
             importance_sampling_moments(1.0, 1.0, 1.0 / 16, 5000, seed=1, x_indices=x_indices)
 
     def test_w_drawn_only_at_the_points(self, monkeypatch):
-        # the beta pass draws one full-path block per BLOCK_ROWS rows; W adds none
-        calls = []
-        full_draw = stationary.brownian_half
+        # beta takes N n normals and W N k, for k distinct points; nothing else is drawn
+        dx, n_samples = 1.0 / 16, 2 * BLOCK_ROWS + 1
+        drawn = _count_normals(monkeypatch)
+        for x_indices in ([16], [16, 8, 16]):
+            drawn.clear()
+            importance_sampling_moments(1.0, 1.0, dx, n_samples, seed=1, x_indices=x_indices)
+            assert sum(drawn) == n_samples * 16 + n_samples * len(set(x_indices)), x_indices
+        drawn.clear()
+        estimate_normalization(1.0, 1.0, dx, n_samples, seed=1)
+        assert sum(drawn) == n_samples * 16
 
-        def counted(dx, n_samples, rng):
-            calls.append(n_samples)
-            return full_draw(dx, n_samples, rng)
 
-        monkeypatch.setattr(stationary, "brownian_half", counted)
-        importance_sampling_moments(1.0, 1.0, 1.0 / 16, BLOCK_ROWS + 1, seed=1, x_indices=[16])
-        assert calls == [BLOCK_ROWS, 1]
+def _count_normals(monkeypatch) -> list:
+    """Make the stationary module's generators log the size of every normal draw."""
+    drawn = []
+
+    class Counting(np.random.Generator):
+        def standard_normal(self, *args, **kwargs):
+            out = super().standard_normal(*args, **kwargs)
+            drawn.append(np.size(out))
+            return out
+
+        def normal(self, *args, **kwargs):
+            out = super().normal(*args, **kwargs)
+            drawn.append(np.size(out))
+            return out
+
+    monkeypatch.setattr(stationary.np.random, "default_rng",
+                        lambda seed: Counting(np.random.PCG64(seed)))
+    return drawn
 
 
 class TestBrownianAtPoints:
@@ -243,7 +265,7 @@ class TestStreamedOracles:
     """Row-block beta draws and W at the points give the full-size draw's numbers, bit for bit."""
 
     @pytest.mark.parametrize("n_samples", [2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
-                                           2 * BLOCK_ROWS + 5])
+                                           2 * BLOCK_ROWS + 5, 4 * BLOCK_ROWS + 3])
     @pytest.mark.parametrize("u, v, dx, x_indices", [(1.0, 1.0, 1.0 / 16, [0, 8, 16]),
                                                      (2.0, -0.5, 1.0 / 32, np.array([32, 5, 32]))])
     def test_bitwise_equal_to_full_draw(self, n_samples, u, v, dx, x_indices):
@@ -256,16 +278,113 @@ class TestStreamedOracles:
         got_z = estimate_normalization(u, v, dx, n_samples, seed)
         assert np.asarray(got_z).tobytes() == np.asarray(want_z).tobytes()
 
+    def test_bitwise_equal_under_thread_contention(self, monkeypatch):
+        # 7-row blocks, a 1-us switch interval and four oracles at once (eight threads
+        # on fewer cores): many buffer handovers, and still a full draw's bits
+        monkeypatch.setattr(stationary, "BLOCK_ROWS", 7)
+        cases = [(1.0, 1.0, 1.0 / 16, 200 + i, 60 + i, [0, 8, 16]) for i in range(4)]
+        got = {}
+
+        def run(i):
+            got[i] = importance_sampling_moments(*cases[i]), estimate_normalization(*cases[i][:5])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for i, case in enumerate(cases):
+            want, want_z = _full_draw_reference(*case)
+            moments, z = got[i]
+            for key in want:
+                assert np.asarray(moments[key]).tobytes() == np.asarray(want[key]).tobytes()
+            assert np.asarray(z).tobytes() == np.asarray(want_z).tobytes()
+
+    @pytest.mark.parametrize("side", ["caller", "helper"])
+    def test_a_failing_stage_stops_the_pass(self, side, monkeypatch):
+        # an exception on either thread reaches the caller, and the helper is joined
+        calls = []
+
+        def fail_on_third(function):
+            def wrapper(*args, **kwargs):
+                calls.append(None)
+                if len(calls) == 3:
+                    raise FloatingPointError("stage failed")
+                return function(*args, **kwargs)
+            return wrapper
+
+        if side == "caller":
+            monkeypatch.setattr(stationary, "rn_log_weight", fail_on_third(rn_log_weight))
+        else:
+            class Failing(np.random.Generator):
+                standard_normal = fail_on_third(np.random.Generator.standard_normal)
+
+            monkeypatch.setattr(stationary.np.random, "default_rng",
+                                lambda seed: Failing(np.random.PCG64(seed)))
+        before = threading.active_count()
+        outcome = []
+
+        def call():
+            with pytest.raises(FloatingPointError, match="stage failed"):
+                importance_sampling_moments(1.0, 1.0, 1.0 / 16, 6 * BLOCK_ROWS, 0, [16])
+            outcome.append(threading.active_count())
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive() and outcome == [before + 1]
+
     @pytest.mark.parametrize("n_samples", [1, 0, -3])
     def test_degenerate_sample_count_rejected_before_drawing(self, n_samples, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("drew paths before checking n_samples")
+            raise AssertionError("made a generator before checking n_samples")
 
-        monkeypatch.setattr(stationary, "brownian_half", forbidden)
+        monkeypatch.setattr(stationary.np.random, "default_rng", forbidden)
         with pytest.raises(ValueError, match=f"n_samples = {n_samples}"):
             estimate_normalization(1.0, 1.0, 1.0 / 16, n_samples, seed=0)
         with pytest.raises(ValueError, match=f"n_samples = {n_samples}"):
             importance_sampling_moments(1.0, 1.0, 1.0 / 16, n_samples, seed=0, x_indices=[16])
+
+    # SHA-256 of the float64 bytes of the moments (mean, var, mean_se, var_se,
+    # ess, max_weight in turn) and of (estimate, se), as the single-threaded
+    # block pass gave them (numpy 2.4, x86-64): the helper-thread pipeline
+    # must give every bit whatever the scheduling.
+    PINNED_IS = "bd4681d24601a70a608808fac2b285fcfd253627adeb90ace69137daa64dc306"
+    PINNED_Z = "7c3354a5857cd0f329e00929752342272a8f6757a8ef82e37e31edfc66727966"
+
+    def test_oracle_bytes_pinned(self):
+        moments = importance_sampling_moments(1.0, 1.0, 1.0 / 64, 300_000, 7, [32, 64])
+        digest = hashlib.sha256()
+        for key in ("mean", "var", "mean_se", "var_se", "ess", "max_weight"):
+            digest.update(np.float64(moments[key]).tobytes())
+        assert digest.hexdigest() == self.PINNED_IS
+        z = estimate_normalization(1.0, 1.0, 1.0 / 64, 20_000, 7)
+        assert hashlib.sha256(np.float64(z).tobytes()).hexdigest() == self.PINNED_Z
+
+    def test_public_functions_run_on_the_calling_thread(self, monkeypatch):
+        # the helper thread only draws: the weights and every public call stay here
+        threads = {}
+
+        def recorded(name, function):
+            def wrapper(*args, **kwargs):
+                threads.setdefault(name, set()).add(threading.get_ident())
+                return function(*args, **kwargs)
+            return wrapper
+
+        for name, obj in list(vars(stationary).items()):
+            if (inspect.isfunction(obj) and not name.startswith("_")
+                    and obj.__module__ == stationary.__name__):
+                monkeypatch.setattr(stationary, name, recorded(name, obj))
+        importance_sampling_moments(1.0, 1.0, 1.0 / 16, 3 * BLOCK_ROWS + 1, 2, [8, 16])
+        estimate_normalization(1.0, 1.0, 1.0 / 16, 3 * BLOCK_ROWS + 1, 2)
+        assert {"rn_log_weight", "check_regime"} <= set(threads)
+        assert all(ids == {threading.get_ident()} for ids in threads.values()), threads
 
     def test_memory_bounded_by_blocks(self):
         # 100 000 paths at dx = 1/64: a full-size draw peaks near 150-200 MB
