@@ -166,6 +166,10 @@ def ergodic_average(
     """Time average of F along one long stationary path vs. the ensemble mean."""
     if functional not in FUNCTIONALS:
         raise ValueError(f"unknown functional {functional!r}; choose from {sorted(FUNCTIONALS)}")
+    if n_reference < 2:
+        raise ValueError(f"n_reference = {n_reference}: the ensemble error needs at least 2")
+    if sample_stride < 1:
+        raise ValueError(f"sample_stride = {sample_stride}: need at least 1 step between samples")
     F = FUNCTIONALS[functional]
     dt = default_dt(dx)
     t_final = snap_time(t_final, dt)

@@ -161,8 +161,8 @@ def simulate_she(z0: np.ndarray, params: BoundaryParams, cfg: SimConfig) -> SheR
         z_all = np.broadcast_to(z_all, (cfg.n_paths, n + 1))
     if z_all.shape != (cfg.n_paths, n + 1):
         raise ValueError(f"initial data must have shape {(cfg.n_paths, n + 1)}")
-    if not np.all(z_all > 0):
-        raise ValueError("initial data must be strictly positive")
+    if not np.all(np.isfinite(z_all) & (z_all > 0)):
+        raise ValueError("initial data must be finite and strictly positive")
     step = _TridiagonalStep(robin_laplacian(n, params.u, params.v), cfg.dt)
     noise_scale = np.sqrt(cfg.dt / cfg.dx)
     saves = cfg.save_step_indices()

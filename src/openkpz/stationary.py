@@ -14,15 +14,15 @@ proposal preserves the Gaussian reference exactly, so acceptance uses only
 the weight ratio.  The importance-sampling cross-check oracles stream N iid
 reference paths beta in row blocks, bit-identical to a full-size draw, and
 draw W only at the k points they report, with the same law as a full path:
-O(N (k + 1)) floats plus two increment blocks and one path block.  One
-helper thread draws the next block while the current one is weighted; it is
-the only thread that draws, in stream order, so the output does not depend
-on the scheduling.
+O(N (k + 1)) floats plus two increment blocks and one path block.  A
+one-worker ThreadPoolExecutor draws the next blocks while the current one
+is weighted; it is the only thread that draws, and it runs the draws in the
+order they were submitted, which is stream order, so the output does not
+depend on the scheduling.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -75,9 +75,16 @@ def sample_bm_drift(u: float, dx: float, n_samples: int, seed: int) -> np.ndarra
     return _grid_paths(rng.normal(u * dx, np.sqrt(dx), size=(n_samples, grid_size(dx))))
 
 
+def _half_increments(rng: np.random.Generator, out: np.ndarray, dx: float) -> np.ndarray:
+    """Fill ``out`` with grid increments of a variance-1/2 Brownian motion and return it."""
+    rng.standard_normal(out=out)
+    out *= np.sqrt(dx / 2.0)
+    return out
+
+
 def brownian_half(dx: float, n_samples: int, rng: np.random.Generator) -> np.ndarray:
     """Brownian motion of variance 1/2 on the grid, path(0) = 0."""
-    return _grid_paths(rng.normal(0.0, np.sqrt(dx / 2.0), size=(n_samples, grid_size(dx))))
+    return _grid_paths(_half_increments(rng, np.empty((n_samples, grid_size(dx))), dx))
 
 
 def rn_log_weight(beta: np.ndarray, u: float, v: float, dx: float) -> np.ndarray:
@@ -167,7 +174,6 @@ def sample_stationary_mcmc(
     check_regime(u, v)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
     root = np.sqrt(1.0 - cfg.rho**2)
-    scale = np.sqrt(dx / 2.0)
 
     def logw(b: np.ndarray) -> float:
         if zero_exponents:
@@ -176,16 +182,13 @@ def sample_stationary_mcmc(
 
     beta = brownian_half(dx, 1, rng)[0]
     current_logw = logw(beta)
-    # each step repeats brownian_half's draw and arithmetic on reused buffers
     inc = np.empty(len(beta) - 1)
     xi, proposal = np.zeros_like(beta), np.empty_like(beta)
     accepted = 0
     beta_samples = np.empty((cfg.n_samples, len(beta)))
     logw_series = np.empty(cfg.chain_length)
     for step in range(cfg.chain_length):
-        rng.standard_normal(out=inc)
-        inc *= scale
-        np.add.accumulate(inc, out=xi[1:])
+        np.add.accumulate(_half_increments(rng, inc, dx), out=xi[1:])
         np.multiply(root, beta, out=proposal)
         xi *= cfg.rho
         proposal += xi
@@ -241,54 +244,33 @@ def _reference_pass(u, v, dx, n_samples, seed, x_indices=()):
     """logw of n_samples block-drawn paths, their x_indices values F-ordered as a full draw,
     and the seed's generator, which has drawn exactly the paths.
 
-    A two-stage pipeline: one helper thread draws the scaled increments of
-    each block, in stream order, into one of two reused buffers, while this
-    thread cumulates the block before into a reused path buffer (column 0
-    stays zero), weighs it with rn_log_weight and keeps its x_indices columns.
-    Only the helper draws, so every bit is a full draw's whatever the
-    scheduling.  The helper runs only the Generator and in-place numpy.
+    A one-worker ThreadPoolExecutor draws block i's increments into buffer
+    i % 2, two draws in flight: this thread cumulates block i into a reused
+    path buffer (column 0 stays zero), submits draw i + 2 into the buffer it
+    has read, then weighs block i with rn_log_weight and keeps its x_indices
+    columns.  One worker runs the draws in the order they were submitted, so
+    every bit is a full draw's whatever the scheduling.  ``result()`` raises
+    the worker's error here, and leaving the ``with`` block joins the worker.
     """
     if n_samples < 2:
         raise ValueError(f"n_samples = {n_samples}: need at least 2 reference paths")
-    from queue import SimpleQueue  # here: importing this module need not pay for it
+    from concurrent.futures import ThreadPoolExecutor  # here, not at module import
 
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    n, scale, starts = grid_size(dx), np.sqrt(dx / 2.0), range(0, n_samples, BLOCK_ROWS)
+    starts = range(0, n_samples, BLOCK_ROWS)
     logw, kept = np.empty(n_samples), np.empty((n_samples, len(x_indices)), order="F")
-    paths = np.zeros((min(BLOCK_ROWS, n_samples), n + 1))
-    free, drawn = SimpleQueue(), SimpleQueue()  # buffers to fill; filled blocks, in order
-    for buffer in np.empty((2, len(paths), n)):
-        free.put(buffer)
-
-    def draw_blocks() -> None:
-        try:
-            for start in starts:
-                buffer = free.get()
-                if buffer is None:  # the calling thread stopped early
-                    return
-                out = buffer[: min(BLOCK_ROWS, n_samples - start)]
-                rng.standard_normal(out=out)  # brownian_half's draw and arithmetic
-                out *= scale
-                drawn.put(buffer)
-        except Exception as exc:  # raised again on the calling thread
-            drawn.put(exc)
-
-    helper = threading.Thread(target=draw_blocks, name="openkpz-reference-draws")
-    helper.start()
-    try:
-        for start in starts:
-            buffer = drawn.get()
-            if isinstance(buffer, Exception):
-                raise buffer
-            rows = slice(start, min(start + BLOCK_ROWS, n_samples))
-            beta = paths[: rows.stop - start]
-            np.cumsum(buffer[: len(beta)], axis=1, out=beta[:, 1:])
-            free.put(buffer)
-            logw[rows] = rn_log_weight(beta, u, v, dx)
-            kept[rows] = beta[:, x_indices]
-    finally:
-        free.put(None)
-        helper.join()
+    paths = np.zeros((min(BLOCK_ROWS, n_samples), grid_size(dx) + 1))
+    buffers = np.empty((2, len(paths), grid_size(dx)))
+    outs = [buffers[i % 2][: min(BLOCK_ROWS, n_samples - start)] for i, start in enumerate(starts)]
+    with ThreadPoolExecutor(1) as pool:
+        draws = [pool.submit(_half_increments, rng, out, dx) for out in outs[:2]]
+        for i, start in enumerate(starts):
+            beta = paths[: len(outs[i])]
+            np.cumsum(draws[i].result(), axis=1, out=beta[:, 1:])
+            if i + 2 < len(outs):
+                draws.append(pool.submit(_half_increments, rng, outs[i + 2], dx))
+            logw[start : start + len(beta)] = rn_log_weight(beta, u, v, dx)
+            kept[start : start + len(beta)] = beta[:, x_indices]
     return logw, kept, rng
 
 
@@ -322,10 +304,10 @@ def importance_sampling_moments(
 
     iid reference paths beta reweighted by the stationary density; h = W + beta
     with independent W.  The beta pass streams in row blocks, bit-identical to
-    a full-size draw whatever the scheduling of its helper thread, which draws
-    the next block while this one is weighted; W is drawn only at the k points,
-    with a full path's law, after the pass.  Returns means, variances, their
-    standard errors, the ESS and the largest normalised weight, in
+    a full-size draw whatever the scheduling of its one-worker executor, which
+    draws the next blocks while this one is weighted; W is drawn only at the k
+    points, with a full path's law, after the pass.  Returns means, variances,
+    their standard errors, the ESS and the largest normalised weight, in
     O(N (k + 1)) floats plus two increment blocks and one path block.
     """
     check_regime(u, v)

@@ -98,6 +98,20 @@ class TestErgodic:
         with pytest.raises(ValueError, match="16 samples"):
             ergodic_average(0.5, 0.5, "endpoint", t_final=0.25, dx=1.0 / 16, seed=4)
 
+    @pytest.mark.parametrize("name, value", [("n_reference", 1), ("n_reference", 0),
+                                             ("sample_stride", 0), ("sample_stride", -8)])
+    def test_degenerate_counts_rejected_before_simulating(self, name, value, monkeypatch):
+        # n_reference = 1 gave a NaN ensemble error and a passing z = 0
+        def unreachable(*args, **kwargs):
+            raise AssertionError("ran before the counts were checked")
+
+        monkeypatch.setattr(harness, "sample_stationary_mcmc", unreachable)
+        monkeypatch.setattr(harness, "sample_bm_drift", unreachable)
+        monkeypatch.setattr(harness, "simulate_she", unreachable)
+        with pytest.raises(ValueError, match=f"{name} = {value}"):
+            ergodic_average(0.5, -0.5, "endpoint", t_final=1.25, dx=1.0 / 8, seed=0,
+                            **{name: value})
+
     def test_unknown_functional_rejected(self):
         with pytest.raises(ValueError):
             ergodic_average(0.5, -0.5, functional="mystery", t_final=1.0, dx=1.0 / 32, seed=0)

@@ -1,6 +1,9 @@
-"""Every import and module-level private name in the package is read."""
+"""Every import and module-level private name in the package is read; heavy imports wait."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -121,3 +124,20 @@ def test_detector_finds_an_uncalled_private_name():
         "b": "from a import _X, _used\n_used(_X)\n__all__ = []\n",
     }
     assert uncalled_private_names(sources) == [("a", 4, "_recursive")]
+
+
+# Modules a fresh import must not load: each is imported inside the function that uses it.
+DEFERRED = {
+    "openkpz.stationary": ("concurrent.futures", "scipy", "sympy"),
+    "openkpz.harness": ("scipy.stats", "sympy"),
+}
+
+
+@pytest.mark.parametrize("module, deferred", DEFERRED.items(), ids=list(DEFERRED))
+def test_import_loads_no_deferred_module(module, deferred):
+    code = f"import sys, {module}; print(sorted(set({deferred!r}) & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"

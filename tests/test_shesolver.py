@@ -213,10 +213,12 @@ class TestPositivity:
         res = simulate_she(_ones(cfg), BoundaryParams(0.5, 0.5), cfg)
         assert res.positivity_lost.tolist() == [True, False, False]
 
-    def test_nan_initial_data_rejected(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_initial_data_rejected(self, bad):
+        # +inf would step to all-NaN snapshots that no positivity flag catches
         cfg = SimConfig(dx=0.25, t_final=0.25, n_paths=1)
         with pytest.raises(ValueError, match="strictly positive"):
-            simulate_she(np.array([1.0, 1.0, np.nan, 1.0, 1.0]), BoundaryParams(0.5, 0.5), cfg)
+            simulate_she(np.array([1.0, 1.0, bad, 1.0, 1.0]), BoundaryParams(0.5, 0.5), cfg)
 
 
 class TestThreads:
