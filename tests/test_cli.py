@@ -136,6 +136,18 @@ class TestSimulate:
             "numerical failure: positivity exclusion left 1 of 5 paths, fewer than the 2 needed")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("uv", [-20, -60])
+    def test_overflow_is_exit_3(self, tmp_path, capsys, uv):
+        # -20 overflows to NaN, which no positivity flag catches; -60 reaches a
+        # value <= 0 first, so the overflow is named before the flags are read
+        code = run(["--out-dir", tmp_path / "out", "simulate", "--u", uv, "--v", uv,
+                    "--dx", 0.125, "--t-final", 20, "--paths", 4])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"numerical failure: overflow at (u, v) = ({uv}.0, {uv}.0), dx = 0.125: "
+            "4 of the 4 paths 0..3 left the float range\n")
+        assert not (tmp_path / "out").exists()
+
 
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path):

@@ -1,5 +1,6 @@
 """Unit tests for the Monte Carlo SHE solver and Hopf-Cole utilities."""
 
+import hashlib
 import itertools
 from dataclasses import fields, replace
 
@@ -82,9 +83,8 @@ class TestDeterministicLimit:
         dt = default_dt(dx)
         step = shesolver._TridiagonalStep(robin_laplacian(grid_size(dx), params.u, params.v), dt)
         z = np.tile(z0, (n_paths, 1))
-        zero = np.zeros_like(z)
         for _ in range(time_steps(t, dt)):
-            z = step(z, zero)
+            z = step(z, np.zeros_like(z))  # the step overwrites its forcing
         return z
 
     def test_neumann_constant_invariant(self):
@@ -106,7 +106,10 @@ class TestDeterministicLimit:
         rng = np.random.default_rng(4)
         z = np.exp(rng.normal(size=(4, grid_size(dx) + 1)))
         forcing = rng.normal(size=z.shape)
-        got = shesolver._TridiagonalStep(L, default_dt(dx))(z, forcing)
+        step = shesolver._TridiagonalStep(L, default_dt(dx))
+        got = step(z, forcing.copy())  # the step overwrites its forcing
+        # a forcing that is not C-ordered is solved in a copy, to the same bits
+        assert np.array_equal(step(z, np.asfortranarray(forcing)), got)
         cn = CrankNicolson(L, default_dt(dx))
         for row, zi, fi in zip(got, z, forcing):
             want = cn.step_with_forcing(zi, fi)
@@ -198,20 +201,32 @@ class TestCoupling:
 
 class TestPositivity:
     def test_flag_survives_nan_after_a_nonpositive_value(self, monkeypatch):
-        # NaN compares false with 0, so a path that only ever holds NaN stays
-        # unflagged, but one that reached -1 before turning NaN stays flagged
+        # NaN compares false with 0, so a path that holds NaN stays unflagged,
+        # but one that reached -1 before turning NaN stays flagged.  The last of
+        # the four steps is finite again: a NaN left standing is an overflow.
         steps = itertools.count()
 
         def fake_step(self, z, forcing):
+            k = next(steps)
             out = np.ones_like(z)
-            out[0] = -1.0 if next(steps) == 0 else np.nan
-            out[1] = np.nan
+            if k < 3:
+                out[0] = -1.0 if k == 0 else np.nan
+                out[1] = np.nan
             return out
 
         monkeypatch.setattr(shesolver._TridiagonalStep, "__call__", fake_step)
         cfg = SimConfig(dx=1.0 / 8, t_final=4 * 0.5 / 8**2, n_paths=3)
         res = simulate_she(_ones(cfg), BoundaryParams(0.5, 0.5), cfg)
         assert res.positivity_lost.tolist() == [True, False, False]
+
+    @pytest.mark.parametrize("uv", [-20.0, -60.0])
+    def test_overflow_is_a_named_failure(self, uv):
+        # -20 overflows to NaN, which no positivity flag catches; -60 reaches a
+        # value <= 0 first, so the overflow is named before the flags are read
+        cfg = SimConfig(dx=0.125, t_final=20.0, n_paths=4)
+        with pytest.raises(RuntimeError, match=rf"overflow at \(u, v\) = \({uv}, {uv}\), "
+                                               r"dx = 0\.125: 4 of the 4 paths 0\.\.3 left"):
+            simulate_she(_ones(cfg), BoundaryParams(uv, uv), cfg)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nan_initial_data_rejected(self, bad):
@@ -244,6 +259,65 @@ class TestThreads:
             assert np.array_equal(got.positivity_lost, want.positivity_lost)
             for t, z in want.snapshots.items():
                 assert np.array_equal(got.snapshots[t], z)
+
+
+def _single_path():
+    # 600 steps: two full noise blocks of K = 248 and a partial one
+    dt = default_dt(1.0 / 32)
+    cfg = SimConfig(dx=1.0 / 32, t_final=600 * dt, n_paths=1, seed=21,
+                    save_times=tuple(8 * k * dt for k in range(1, 76)))
+    return np.ones(cfg.n + 1), BoundaryParams(0.5, -0.5), cfg
+
+
+def _multi_chunk():
+    # chunks of 512, 512 and 76 paths; some paths of each lose positivity
+    cfg = SimConfig(dx=1.0 / 8, t_final=2.0, n_paths=1100, seed=9, save_times=(0.5, 1.0, 2.0))
+    return 1.0 + 0.5 * np.cos(np.pi * np.linspace(0, 1, cfg.n + 1)), BoundaryParams(1.0, 0.0), cfg
+
+
+def _digest(res):
+    digest = hashlib.sha256()
+    for t in sorted(res.snapshots):
+        digest.update(res.snapshots[t].tobytes())
+    digest.update(res.positivity_lost.tobytes())
+    return digest.hexdigest()
+
+
+class TestBlocks:
+    # SHA-256 of the snapshots in time order and then the flags, as the
+    # one-draw-per-step loop gave them (numpy 2.4, x86-64): block draws and
+    # the in-place step must give every bit.
+    PINNED = {"single-path": "5a532bb0136edd2bc4da27b0c7d6c01ca6403d027431b07277c0fd9d4cef6b73",
+              "multi-chunk": "04a1c9171c51baedbde5ca3e4ac74f3d1bf60f248f0241bd0efd64aac2280650"}
+    RUNS = pytest.mark.parametrize("name, run", [("single-path", _single_path),
+                                                 ("multi-chunk", _multi_chunk)])
+
+    @RUNS
+    def test_bytes_pinned(self, name, run):
+        res = simulate_she(*run())
+        assert res.positivity_lost.any() == (name == "multi-chunk")
+        assert _digest(res) == self.PINNED[name]
+
+    @RUNS
+    def test_bit_identical_for_any_block_size(self, name, run, monkeypatch):
+        # budgets giving K = 1, an odd K (7 steps of a first chunk; 47 for the
+        # 76-path chunk) and K = n_steps, where more would fit
+        z0, params, cfg = run()
+        want = simulate_she(z0, params, cfg)
+        step_bytes = min(cfg.n_paths, shesolver.RNG_CHUNK) * (cfg.n + 1) * 8
+        for budget in (8, 7 * step_bytes, 1 << 40):
+            monkeypatch.setattr(shesolver, "_BLOCK_BYTES", budget)
+            assert _digest(simulate_she(z0, params, cfg)) == _digest(want)
+
+    def test_initial_array_is_never_written(self):
+        cfg = SimConfig(dx=1.0 / 8, t_final=0.25, n_paths=3, seed=2)
+        z0 = np.exp(np.random.default_rng(0).normal(size=(3, cfg.n + 1)))
+        before = z0.copy()
+        want = simulate_she(z0, BoundaryParams(1.0, 0.0), cfg)
+        assert np.array_equal(z0, before)
+        z0.flags.writeable = False
+        got = simulate_she(z0, BoundaryParams(1.0, 0.0), cfg)
+        assert np.array_equal(got.snapshots[0.25], want.snapshots[0.25])
 
 
 class TestHopfCole:
