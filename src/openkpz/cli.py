@@ -16,6 +16,7 @@ import argparse
 import configparser
 import dataclasses
 import json
+import re
 import sys
 from itertools import repeat
 from pathlib import Path
@@ -73,6 +74,8 @@ READS = {
     "pcn-mcmc": tuple(OPTIONS["sample-stationary"]),
 }
 CHOICES = {"kind": ("neumann", "robin", "gauss")}
+# argparse reads a dash-led value as a flag unless it looks like -N or -N.N
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?|-inf(inity)?|-nan", re.I)
 
 
 class ConfigError(Exception):
@@ -359,6 +362,10 @@ COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(1, len(argv))):  # "--u -2e-1" as "--u=-2e-1"
+        if argv[i - 1].startswith("--") and _NEGATIVE_NUMBER.fullmatch(argv[i]):
+            argv[i - 1 : i + 1] = [argv[i - 1] + "=" + argv[i]]
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)

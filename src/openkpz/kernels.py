@@ -55,7 +55,8 @@ def neumann_kernel(t, x, y, M: int = 20) -> Tuple[np.ndarray, float]:
 
 
 def neumann_kernel_spectral(t, x, y) -> np.ndarray:
-    """Eigenfunction-expansion oracle: 1 + 2 sum e^{-k^2 pi^2 t/2} cos cos."""
+    """Eigenfunction-expansion oracle: 1 + 2 sum e^{-k^2 pi^2 t/2} cos cos, for t > 0."""
+    check_time(t)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     total = np.ones(np.broadcast(x, y).shape, dtype=float)
@@ -129,8 +130,8 @@ class RannacherPropagator(CrankNicolson):
         return super().advance(z, n_steps - startup)
 
 
-def robin_kernel(t: float, u: float, v: float, n: int = 256) -> np.ndarray:
-    """Robin heat kernel matrix K[i, j] ~ P_t(x_i, y_j) on the n+1 grid.
+def robin_kernel(t: float, u: float, v: float, n: int) -> np.ndarray:
+    """Robin heat kernel matrix K[i, j] ~ P_t(x_i, y_j) on the n+1 points of [0,1].
 
     The semigroup acts through trapezoid weights: (P_t f)(x_i) =
     sum_j w_j K[i, j] f(x_j).  Second-order accurate in dt and dx.
@@ -159,8 +160,8 @@ class Mollifier:
     integrates to 1 for any radii.
     """
 
-    time_radius: float = 1.0
-    space_radius: float = 1.0
+    time_radius: float
+    space_radius: float
 
     def __post_init__(self) -> None:
         for name in ("time_radius", "space_radius"):
@@ -173,13 +174,6 @@ class Mollifier:
         z = np.asarray(z, dtype=float)
         inside = np.clip(1.0 - z * z, 0.0, None)
         return (35.0 / 32.0) * inside**3
-
-    def __call__(self, s, y):
-        return (
-            self.bump(np.asarray(s) / self.time_radius)
-            * self.bump(np.asarray(y) / self.space_radius)
-            / (self.time_radius * self.space_radius)
-        )
 
 
 def _bump_autocorrelation(z: np.ndarray, radius: float) -> np.ndarray:
@@ -236,7 +230,7 @@ def _constant_a_single(rho: Mollifier, n: int) -> float:
     return float(np.sum(2.0 * corr_s * inner * 2.0 * sigma) * wsigma)
 
 
-def constant_a(rho: Mollifier | None = None, n: int = 256) -> Tuple[float, float]:
+def constant_a(rho: Mollifier, n: int) -> Tuple[float, float]:
     """Boundary constant a = integral (rho_bar * rho)(s,y) F(s,y) ds dy.
 
     F is the bracket of ``_constant_a_single``.  Quadrature at n and 2n cells
@@ -244,8 +238,6 @@ def constant_a(rho: Mollifier | None = None, n: int = 256) -> Tuple[float, float
     """
     if n < 1:
         raise ValueError(f"constant_a needs n >= 1 quadrature cells (n={n})")
-    if rho is None:
-        rho = Mollifier()
     coarse = _constant_a_single(rho, n)
     fine = _constant_a_single(rho, 2 * n)
     value = (4.0 * fine - coarse) / 3.0

@@ -55,9 +55,9 @@ class BoundaryParams:
 class SimConfig:
     """A run of the SHE; its time step is the grid's, dt = dx^2/2."""
 
-    dx: float = 1.0 / 64
-    t_final: float = 1.0
-    n_paths: int = 100
+    dx: float
+    t_final: float
+    n_paths: int
     seed: int = 0
     save_times: Tuple[float, ...] = ()
 

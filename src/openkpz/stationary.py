@@ -164,24 +164,14 @@ def sample_stationary_mcmc(
     v: float,
     cfg: McmcConfig,
     dx: float,
-    zero_exponents: bool = False,
 ) -> McmcResult:
-    """pCN Metropolis chain for beta, output samples h = W + beta.
-
-    ``zero_exponents`` turns the weight off (target = reference), the
-    calibration mode used to validate the chain against the exact Gaussian.
-    """
+    """pCN Metropolis chain for beta, with target weight ``rn_log_weight``;
+    output samples h = W + beta."""
     check_regime(u, v)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
     root = np.sqrt(1.0 - cfg.rho**2)
-
-    def logw(b: np.ndarray) -> float:
-        if zero_exponents:
-            return 0.0
-        return float(rn_log_weight(b, u, v, dx))
-
     beta = brownian_half(dx, 1, rng)[0]
-    current_logw = logw(beta)
+    current_logw = float(rn_log_weight(beta, u, v, dx))
     inc = np.empty(len(beta) - 1)
     xi, proposal = np.zeros_like(beta), np.empty_like(beta)
     accepted = 0
@@ -192,7 +182,7 @@ def sample_stationary_mcmc(
         np.multiply(root, beta, out=proposal)
         xi *= cfg.rho
         proposal += xi
-        proposal_logw = logw(proposal)
+        proposal_logw = float(rn_log_weight(proposal, u, v, dx))
         if np.log(rng.random()) < proposal_logw - current_logw:
             beta, proposal = proposal, beta
             current_logw = proposal_logw

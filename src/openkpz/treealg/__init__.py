@@ -36,7 +36,6 @@ from openkpz.treealg.coproduct import (
     coproduct,
     gamma_f,
     generic_character,
-    zero_character,
 )
 from openkpz.treealg.renorm import RenormParams, renormalize
 from openkpz.treealg.expansion import (
@@ -74,7 +73,6 @@ __all__ = [
     "CoproductDomainError",
     "CharacterF",
     "generic_character",
-    "zero_character",
     "gamma_f",
     "check_structure_group",
     "compose_gamma",

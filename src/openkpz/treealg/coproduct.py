@@ -10,7 +10,7 @@ always primitive on the left, ``Delta I'(t) = (I' x id) Delta t``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import sympy
 
@@ -118,21 +118,10 @@ class CharacterF:
             out = out * self.value(gen)
         return out
 
-    def as_dict(self) -> Dict[str, sympy.Expr]:
-        return {name: val for (_, name), val in zip(PLUS_GENERATORS, self.values)}
 
-
-def generic_character(prefix: str = "") -> CharacterF:
-    """Character with fully symbolic generator values."""
-    values = []
-    for _, name in PLUS_GENERATORS:
-        symbol = SYMBOLS[name] if not prefix else sympy.Symbol(prefix + name)
-        values.append(symbol)
-    return CharacterF(tuple(values))
-
-
-def zero_character() -> CharacterF:
-    return CharacterF((0,) * len(PLUS_GENERATORS))
+def generic_character() -> CharacterF:
+    """Character whose generator values are the named symbols of ``SYMBOLS``."""
+    return CharacterF(tuple(SYMBOLS[name] for _, name in PLUS_GENERATORS))
 
 
 def gamma_f(f: CharacterF, x: TreeCombination | Tree) -> TreeCombination:

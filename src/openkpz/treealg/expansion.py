@@ -55,10 +55,8 @@ def picard_dW() -> TreeCombination:
     return picard_W().deriv()
 
 
-def q_leq0_nonlinearity(dw: TreeCombination | None = None) -> TreeCombination:
-    """Degree-<=0 part of (dW)^2 + 2 (dW)(dPsi) + (dPsi)^2."""
-    if dw is None:
-        dw = picard_dW()
+def q_leq0_nonlinearity(dw: TreeCombination) -> TreeCombination:
+    """Degree-<=0 part of (dW)^2 + 2 (dW)(dPsi) + (dPsi)^2, for dW = ``dw``."""
     full = dw.mul(dw) + dw.mul(_DPSI).scale(2) + _DPSI.mul(_DPSI)
     return full.project_leq(ExactDegree(0))
 
@@ -71,17 +69,15 @@ class ConstantExtractionError(RuntimeError):
         self.residual = residual
 
 
-def renorm_constants(
-    params: RenormParams | None = None,
-) -> Tuple[sympy.Expr, sympy.Expr, sympy.Expr]:
-    """Counterterm constants (c1, c2, c3) of the renormalized equation.
+def renorm_constants() -> Tuple[sympy.Expr, sympy.Expr, sympy.Expr]:
+    """Counterterm constants (c1, c2, c3) of the renormalized equation, at the
+    symbolic contraction weights ``RenormParams()``.
 
     The renormalization group changes the degree-<=0 nonlinearity by exactly
     -c1 * (degree-<=0 part of M_g dW) - c2 * <1d> - c3 * 1; the constants are
     read off by coefficient matching and the match is verified exactly.
     """
-    if params is None:
-        params = RenormParams()
+    params = RenormParams()
     dw = picard_dW()
     q = q_leq0_nonlinearity(dw)
     renorm_q = renormalize(params, q)

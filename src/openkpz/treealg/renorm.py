@@ -49,10 +49,6 @@ class RenormParams:
     def weight(self, rule: int) -> sympy.Expr:
         return (self.C0, self.C1, self.C2, self.C3)[rule]
 
-    @classmethod
-    def zero(cls) -> "RenormParams":
-        return cls(0, 0, 0, 0)
-
 
 # A node is the list of factors of a (sub)product; an Integ factor carries an
 # edge to the node made of its child's factors.

@@ -81,12 +81,12 @@ class TestAlgebra:
     def test_criterion_03_truncated_nonlinearity(self):
         import sympy
 
-        from openkpz.treealg import basis_tree, q_leq0_nonlinearity
+        from openkpz.treealg import basis_tree, picard_dW, q_leq0_nonlinearity
         from openkpz.treealg.combination import SYMBOLS
         from openkpz.treealg.trees import ONE
 
         s = SYMBOLS
-        q = q_leq0_nonlinearity()
+        q = q_leq0_nonlinearity(picard_dW())
         want = {
             basis_tree("<2d>"): sympy.Integer(1),
             basis_tree("<2d2d>"): sympy.Integer(1),
@@ -166,8 +166,8 @@ class TestKernels:
     def test_criterion_07_boundary_constant(self):
         from openkpz import kernels
 
-        coarse, _ = kernels.constant_a(n=128)
-        fine, err = kernels.constant_a(n=256)
+        coarse, _ = kernels.constant_a(kernels.Mollifier(1.0, 1.0), n=128)
+        fine, err = kernels.constant_a(kernels.Mollifier(1.0, 1.0), n=256)
         drift = abs(fine - coarse)
         gap = abs(fine - CONSTANT_A_FROZEN)
         ok = drift < TOL["constant_a_stability"] and gap < TOL["constant_a_value"]
@@ -272,14 +272,16 @@ class TestSolver:
                ok, ", ".join(f"{k} {v:.2f} sigma" for k, v in gaps.items())
                + f"; IS ESS {iw['ess']:.0f}, max weight {iw['max_weight']:.2e}")
 
-    def test_criterion_11_pcn_reference_covariance(self):
+    def test_criterion_11_pcn_reference_covariance(self, monkeypatch):
         from openkpz import harness, stationary
 
         dx = 1.0 / 16
         cfg = stationary.McmcConfig(rho=0.5, burn_in=1000, thinning=5,
                                     n_samples=6000, seed=20)
-        ref = stationary.sample_stationary_mcmc(1.0, 1.0, cfg, dx=dx,
-                                                zero_exponents=True)
+        # a zero weight: the chain targets the reference Gaussian itself
+        with monkeypatch.context() as patch:
+            patch.setattr(stationary, "rn_log_weight", lambda beta, u, v, dx: 0.0)
+            ref = stationary.sample_stationary_mcmc(1.0, 1.0, cfg, dx=dx)
         beta = ref.beta_samples
         idx = [0, 4, 8, 12, 16]
         x = np.linspace(0, 1, 17)[idx]

@@ -93,6 +93,15 @@ class TestKernel:
         cfg.write_text("[kernel]\nkind = cauchy\n")
         assert run(["--config", cfg, "--out-dir", tmp_path, "kernel"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--u", "--v"])
+    def test_negative_value_in_exponent_notation(self, tmp_path, flag):
+        base = ["kernel", "--kind", "robin", "--t", 0.1, "--grid", 4]
+        assert run(["--out-dir", tmp_path / "spaced", *base, flag, "-2e-1"]) == 0
+        assert run(["--out-dir", tmp_path / "joined", *base, f"{flag}=-0.2"]) == 0
+        spaced = (tmp_path / "spaced" / "kernel_robin.csv").read_text()
+        assert spaced == (tmp_path / "joined" / "kernel_robin.csv").read_text()
+        assert f'"{flag[2:]}": -0.2' in spaced.splitlines()[0]
+
 
 class TestConstantA:
     def test_json_artifact(self, tmp_path):

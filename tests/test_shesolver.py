@@ -19,26 +19,26 @@ def _ones(cfg):
 
 class TestConfig:
     def test_default_dt_is_stability_bound(self):
-        cfg = SimConfig(dx=1.0 / 32)
+        cfg = SimConfig(dx=1.0 / 32, t_final=1.0, n_paths=100)
         assert cfg.dt == pytest.approx(0.5 / 32**2)
 
     def test_time_step_is_the_grids(self):
         assert [f.name for f in fields(SimConfig)] == [
             "dx", "t_final", "n_paths", "seed", "save_times"]
-        cfg = SimConfig(dx=0.0625)
+        cfg = SimConfig(dx=0.0625, t_final=1.0, n_paths=100)
         assert cfg.dt == default_dt(cfg.dx)
         with pytest.raises(TypeError):
-            SimConfig(dx=0.0625, dt=1e-3)
+            SimConfig(dx=0.0625, t_final=1.0, n_paths=100, dt=1e-3)
         with pytest.raises(ValueError, match="dx must divide 1"):
-            SimConfig(dx=0.03)
+            SimConfig(dx=0.03, t_final=1.0, n_paths=100)
 
     def test_save_times_must_lie_on_grid(self):
-        cfg = SimConfig(dx=1.0 / 32, t_final=0.5, save_times=(0.1234,))
+        cfg = SimConfig(dx=1.0 / 32, t_final=0.5, n_paths=100, save_times=(0.1234,))
         with pytest.raises(ValueError):
             cfg.save_step_indices()
 
     def test_two_save_times_on_one_step_rejected(self):
-        equal = SimConfig(dx=0.25, t_final=1.0, save_times=(0.5, 0.5, 1.0))
+        equal = SimConfig(dx=0.25, t_final=1.0, n_paths=100, save_times=(0.5, 0.5, 1.0))
         assert equal.save_step_indices() == {16: 0.5, 32: 1.0}
         # dt = 1/32: both times are within time_steps' tolerance of step 16
         cfg = SimConfig(dx=0.25, t_final=1.0, n_paths=2, save_times=(0.5, 0.5 + 1e-12))
@@ -63,14 +63,14 @@ class TestConfig:
     @pytest.mark.parametrize("t_final", [0.0, -1.0, float("nan"), float("inf")])
     def test_horizon_that_is_not_positive_and_finite_rejected(self, t_final):
         with pytest.raises(ValueError, match=rf"positive and finite \(t={t_final}\)"):
-            SimConfig(dx=1.0 / 16, t_final=t_final)
+            SimConfig(dx=1.0 / 16, t_final=t_final, n_paths=100)
 
     def test_path_count_below_one_named(self):
         with pytest.raises(ValueError, match=r"n_paths=0"):
-            SimConfig(dx=1.0 / 16, n_paths=0)
+            SimConfig(dx=1.0 / 16, t_final=1.0, n_paths=0)
 
     def test_horizon_shorter_than_one_step_rejected(self):
-        cfg = SimConfig(dx=1.0 / 16, t_final=1e-10)
+        cfg = SimConfig(dx=1.0 / 16, t_final=1e-10, n_paths=100)
         with pytest.raises(ValueError):
             cfg.n_steps
 

@@ -84,11 +84,12 @@ class TestRnWeight:
 
 
 class TestMcmc:
-    def test_zero_exponents_reference_covariance(self):
+    def test_zero_exponents_reference_covariance(self, monkeypatch):
         # With the density switched off the chain targets the variance-1/2
         # Brownian prior for beta.
+        monkeypatch.setattr(stationary, "rn_log_weight", lambda beta, u, v, dx: 0.0)
         cfg = McmcConfig(rho=0.5, burn_in=500, thinning=5, n_samples=4000, seed=0)
-        res = sample_stationary_mcmc(1.0, 1.0, cfg, dx=1.0 / 16, zero_exponents=True)
+        res = sample_stationary_mcmc(1.0, 1.0, cfg, dx=1.0 / 16)
         assert res.acceptance_rate == 1.0
         beta = res.beta_samples
         x = np.linspace(0, 1, beta.shape[1])
@@ -124,9 +125,11 @@ class TestMcmc:
     }
 
     @pytest.mark.parametrize("zero_exponents", [False, True])
-    def test_chain_bytes_pinned(self, zero_exponents):
+    def test_chain_bytes_pinned(self, zero_exponents, monkeypatch):
+        if zero_exponents:
+            monkeypatch.setattr(stationary, "rn_log_weight", lambda beta, u, v, dx: 0.0)
         cfg = McmcConfig(rho=0.5, burn_in=100, thinning=2, n_samples=50, seed=9)
-        res = sample_stationary_mcmc(1.0, 1.0, cfg, dx=1.0 / 16, zero_exponents=zero_exponents)
+        res = sample_stationary_mcmc(1.0, 1.0, cfg, dx=1.0 / 16)
         got = tuple(hashlib.sha256(np.float64(getattr(res, name)).tobytes()).hexdigest()
                     for name in ("samples", "beta_samples", "acceptance_rate", "autocorr_time"))
         assert got == self.PINNED[zero_exponents]

@@ -23,7 +23,6 @@ from openkpz.treealg import (
     coproduct,
     format_tree,
     gamma_f,
-    generic_character,
     parse_tree,
     prod,
     renormalize,
@@ -88,7 +87,8 @@ def test_coproduct_is_multiplicative(s, t):
 
 characters = st.tuples(*[rationals] * len(PLUS_GENERATORS)).map(CharacterF)
 # the composed character of two symbolic ones, to substitute rational values into
-F, G = generic_character("f"), generic_character("g")
+F, G = (CharacterF(tuple(sympy.Symbol(prefix + name) for _, name in PLUS_GENERATORS))
+        for prefix in "fg")
 COMPOSED = compose_gamma(F, G)
 
 
@@ -106,7 +106,7 @@ def test_gamma_composition_with_rational_characters(f, g):
 @LAWS
 @given(combinations)
 def test_renormalize_with_zero_weights_is_the_identity(x):
-    assert renormalize(RenormParams.zero(), x) == x
+    assert renormalize(RenormParams(0, 0, 0, 0), x) == x
 
 
 GOLDEN_ROWS = load_golden_rows()
@@ -137,7 +137,7 @@ grammar_trees = st.recursive(
 @given(grammar_trees)
 @example(Integ(prod(PSI, PSI, X1), prime=True))  # a contraction leaves I'(X1) = 0
 def test_renormalize_with_zero_weights_is_the_identity_on_trees(tree):
-    assert renormalize(RenormParams.zero(), tree) == TreeCombination.single(tree)
+    assert renormalize(RenormParams(0, 0, 0, 0), tree) == TreeCombination.single(tree)
 
 
 @SYNTAX
