@@ -2,12 +2,16 @@
 sample-stationary | experiment {stationarity, ergodic, coupling}.
 
 Options come from an INI file section ([experiment.<name>] per experiment)
-overridden by flags; a flag or key that no run of the command reads is
-rejected.  Every command, verify-algebra included, checks the shared flags:
-a negative seed or an unreadable config file is a configuration error.  Every artifact embeds the options its run read and the seed, and
-no timestamps, so a rerun with the same seed is byte-identical.  Exit codes:
-0 success, 1 verification mismatch, 2 configuration error, 3 numerical
-failure (such as a path that lost positivity).
+overridden by flags, and one reader parses both, so a bad value is the same
+configuration error from either; a flag or key that no run of the command
+reads is rejected.  Every --flag but --help takes the next token as its value
+("--u -2e-1").  Every command, verify-algebra included, checks the shared
+flags: a negative seed, or a config file that cannot be read or parsed or
+whose section names no command, is a configuration error.  Every artifact
+embeds the options its run read and the seed, and no timestamps, so a rerun
+with the same seed is byte-identical.  Exit codes: 0 success, 1 verification
+mismatch, 2 configuration error, 3 numerical failure (such as a path that
+lost positivity).
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import argparse
 import configparser
 import dataclasses
 import json
-import re
 import sys
 from itertools import repeat
 from pathlib import Path
@@ -34,7 +37,7 @@ EXIT_NUMERICAL = 3
 
 # Per INI section (section experiment.<name> is command "experiment <name>"):
 # option -> default.  Each option is an INI key of that name and a flag
-# --the-name of the default's type.  The master seed is shared.  The harness
+# --the-name, both read as the default's type.  The master seed is shared.  The harness
 # experiments have no defaults of their own: their only defaults are here.
 OPTIONS: Dict[str, Dict] = {
     "verify-algebra": {},
@@ -74,8 +77,6 @@ READS = {
     "pcn-mcmc": tuple(OPTIONS["sample-stationary"]),
 }
 CHOICES = {"kind": ("neumann", "robin", "gauss")}
-# argparse reads a dash-led value as a flag unless it looks like -N or -N.N
-_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?|-inf(inity)?|-nan", re.I)
 
 
 class ConfigError(Exception):
@@ -92,35 +93,36 @@ def _parse(kind: type, raw: str, where: str):
 
 
 def _resolve(args: argparse.Namespace, section: str) -> Tuple[Dict, Set[str]]:
-    """Options (defaults < config-file section < flags) and the keys set; unknown keys rejected."""
+    """Options (defaults < config-file section < flags) and the keys set; unknown keys rejected.
+    Each INI value and flag set is text, read once by ``_parse`` and the ``CHOICES`` check."""
     defaults = {**OPTIONS[section], "seed": 0}
+    given = []  # (key, text, where it was set); a later entry wins
+    if path := getattr(args, "config", None):
+        # "" names the defaults section, and no header can: [DEFAULT] names no command
+        ini = configparser.ConfigParser(interpolation=None, default_section="")
+        try:
+            if not ini.read(path):
+                raise ConfigError(f"cannot read config file {path!r}")
+        except configparser.Error as exc:
+            raise ConfigError(f"cannot parse config file {path!r}: {exc}") from None
+        for name in ini.sections():
+            if name not in OPTIONS:
+                raise ConfigError(f"section [{name}] of config file {path!r} names no command")
+        for key, raw in ini.items(section) if ini.has_section(section) else ():
+            key = key.replace("-", "_")
+            if key not in defaults:
+                raise ConfigError(f"unknown key {key!r} in section [{section}]")
+            given.append((key, raw, f"[{section}] {key} ="))
+    given += [(key, getattr(args, key), "--" + key.replace("_", "-"))
+              for key in defaults if getattr(args, key, None) is not None]
     resolved = dict(defaults)
-    explicit = set()
-    config_path = getattr(args, "config", None)
-    if config_path:
-        parser = configparser.ConfigParser()
-        read = parser.read(config_path)
-        if not read:
-            raise ConfigError(f"cannot read config file {config_path!r}")
-        if parser.has_section(section):
-            for key, raw in parser.items(section):
-                key = key.replace("-", "_")
-                if key not in defaults:
-                    raise ConfigError(f"unknown key {key!r} in section [{section}]")
-                resolved[key] = _parse(type(defaults[key]), raw, f"[{section}] {key} =")
-                explicit.add(key)
-                if key in CHOICES and resolved[key] not in CHOICES[key]:
-                    raise ConfigError(
-                        f"{key} = {raw!r} in section [{section}]; choose from {CHOICES[key]}"
-                    )
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            resolved[key] = value
-            explicit.add(key)
+    for key, raw, where in given:
+        resolved[key] = _parse(type(defaults[key]), raw, where)
+        if key in CHOICES and resolved[key] not in CHOICES[key]:
+            raise ConfigError(f"{where} {raw!r}; choose from {CHOICES[key]}")
     if resolved["seed"] < 0:
         raise ConfigError(f"seed must be a non-negative integer (seed={resolved['seed']})")
-    return resolved, explicit
+    return resolved, {key for key, _, _ in given}
 
 
 def _read_by(variant: str, resolved: Dict, explicit: Set[str]) -> Dict:
@@ -319,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     # Shared flags are accepted both before and after the subcommand.
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--config", help="INI config file (section per subcommand)")
-    common.add_argument("--seed", type=int, help="master seed (overrides config)")
+    common.add_argument("--seed", help="master seed (overrides config)")
     common.add_argument("--out-dir", help="artifact output directory")
 
     parser = argparse.ArgumentParser(
@@ -344,9 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = (experiments if name else sub).add_parser(
             name or command, parents=[common], help=helps.get(section)
         )
-        for key, default in options.items():
-            p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
-                           choices=CHOICES.get(key))
+        for key in options:  # values are text here, read by _resolve
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           metavar="{%s}" % ",".join(CHOICES[key]) if key in CHOICES else None)
     return parser
 
 
@@ -361,12 +363,15 @@ COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    argv = list(sys.argv[1:] if argv is None else argv)
-    for i in reversed(range(1, len(argv))):  # "--u -2e-1" as "--u=-2e-1"
-        if argv[i - 1].startswith("--") and _NEGATIVE_NUMBER.fullmatch(argv[i]):
-            argv[i - 1 : i + 1] = [argv[i - 1] + "=" + argv[i]]
-    args = parser.parse_args(argv)
+    # Every --flag but --help takes the next token as its value: "--u -2e-1" is "--u=-2e-1".
+    tokens = []
+    for token in sys.argv[1:] if argv is None else argv:
+        flag = tokens[-1] if tokens else ""
+        if flag.startswith("--") and "=" not in flag and not "--help".startswith(flag):
+            tokens[-1] += "=" + token
+        else:
+            tokens.append(token)
+    args = build_parser().parse_args(tokens)
     try:
         return COMMANDS[args.command](args)
     except (ConfigError, ValueError) as exc:

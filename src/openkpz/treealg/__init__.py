@@ -37,7 +37,7 @@ from openkpz.treealg.coproduct import (
     gamma_f,
     generic_character,
 )
-from openkpz.treealg.renorm import RenormParams, renormalize
+from openkpz.treealg.renorm import renormalize
 from openkpz.treealg.expansion import (
     picard_W,
     picard_dW,
@@ -76,7 +76,6 @@ __all__ = [
     "gamma_f",
     "check_structure_group",
     "compose_gamma",
-    "RenormParams",
     "renormalize",
     "picard_W",
     "picard_dW",

@@ -116,8 +116,8 @@ class TreeCombination(_Combination):
         return prod(t1, t2)
 
     @classmethod
-    def single(cls, tree: Tree, coeff=1) -> "TreeCombination":
-        return cls({tree: coeff})
+    def single(cls, tree: Tree) -> "TreeCombination":
+        return cls({tree: 1})
 
     def coeff(self, tree: Tree) -> Coeff:
         return self.terms.get(tree, sympy.Integer(0))
@@ -172,8 +172,8 @@ class TensorElement(_Combination):
         return f"{left!r} @ {rtxt}"
 
     @classmethod
-    def single(cls, tree: Tree, right: Iterable[Tree] = (), coeff=1) -> "TensorElement":
-        return cls({(tree, right_mono(right)): coeff})
+    def single(cls, tree: Tree) -> "TensorElement":
+        return cls({(tree, ()): 1})
 
     def apply_left(self, fn) -> "TensorElement":
         """Apply a linear map to the left legs.

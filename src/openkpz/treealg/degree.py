@@ -44,8 +44,6 @@ class ExactDegree:
         scalar = Fraction(scalar)
         return ExactDegree(self.rational * scalar, self.kappa * scalar)
 
-    __rmul__ = __mul__
-
     def at(self, kappa_value: Fraction) -> Fraction:
         return self.rational + self.kappa * kappa_value
 

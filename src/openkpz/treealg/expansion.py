@@ -18,7 +18,7 @@ import sympy
 from openkpz.treealg.basis import PSI, basis_tree
 from openkpz.treealg.combination import SYMBOLS, TreeCombination
 from openkpz.treealg.degree import ExactDegree
-from openkpz.treealg.renorm import RenormParams, renormalize
+from openkpz.treealg.renorm import renormalize
 from openkpz.treealg.trees import ONE, X1, tree_degree
 
 _W_BOUND = tree_degree(basis_tree("<1d1>"))
@@ -71,17 +71,16 @@ class ConstantExtractionError(RuntimeError):
 
 def renorm_constants() -> Tuple[sympy.Expr, sympy.Expr, sympy.Expr]:
     """Counterterm constants (c1, c2, c3) of the renormalized equation, at the
-    symbolic contraction weights ``RenormParams()``.
+    symbolic contraction weights C0-C3.
 
     The renormalization group changes the degree-<=0 nonlinearity by exactly
     -c1 * (degree-<=0 part of M_g dW) - c2 * <1d> - c3 * 1; the constants are
     read off by coefficient matching and the match is verified exactly.
     """
-    params = RenormParams()
     dw = picard_dW()
     q = q_leq0_nonlinearity(dw)
-    renorm_q = renormalize(params, q)
-    mg_dw = renormalize(params, dw)
+    renorm_q = renormalize(q)
+    mg_dw = renormalize(dw)
     q_of_renorm = q_leq0_nonlinearity(mg_dw)
     r = renorm_q - q_of_renorm
 

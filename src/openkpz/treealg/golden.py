@@ -21,11 +21,11 @@ from openkpz.treealg.combination import TensorElement, TreeCombination, _as_coef
 from openkpz.treealg.coproduct import check_structure_group, coproduct, gamma_f, generic_character
 from openkpz.treealg.degree import ExactDegree, degree_from_string
 from openkpz.treealg.expansion import renorm_constants
-from openkpz.treealg.renorm import RenormParams, renormalize
+from openkpz.treealg.renorm import renormalize
 from openkpz.treealg.trees import Tree
 
 TABLE_NAMES = ("degree", "coproduct", "gamma", "renormalize")
-# (c1, c2, c3) of renorm_constants() at the symbolic RenormParams().
+# (c1, c2, c3) of renorm_constants() at the symbolic weights C0-C3.
 EXPECTED_CONSTANTS = ("C0", "2*C0", "C2/4 + C3/2 + 2*a10*C0 + C1")
 
 
@@ -129,7 +129,6 @@ def verify_golden_tables() -> GoldenReport:
     rows = load_golden_rows()
     report = GoldenReport(rows_checked=len(rows))
     f = generic_character()
-    params = RenormParams()
 
     computed_basis = {name: (tree, deg) for name, tree, deg in basis_W()}
     for row in rows:
@@ -139,7 +138,7 @@ def verify_golden_tables() -> GoldenReport:
                 ("degree", row.name, f"encoded term {row.term!r} != basis {tree!r}")
             )
             continue
-        computed = (deg, coproduct(tree), gamma_f(f, tree), renormalize(params, tree))
+        computed = (deg, coproduct(tree), gamma_f(f, tree), renormalize(tree))
         encoded = (row.degree, row.delta, row.gamma, row.mg)
         for table, got, want in zip(TABLE_NAMES, computed, encoded):
             if got != want:

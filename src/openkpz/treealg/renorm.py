@@ -23,31 +23,13 @@ once.  An integral whose content contracts to a monomial is zero
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple
 
 import sympy
 
 from openkpz.treealg.basis import IP_PSI2, IP_PSI_IP_PSI2, PSI
-from openkpz.treealg.combination import SYMBOLS, TreeCombination, _as_coeff
+from openkpz.treealg.combination import SYMBOLS, TreeCombination
 from openkpz.treealg.trees import Integ, Monomial, Product, Tree, prod
-
-
-@dataclass(frozen=True)
-class RenormParams:
-    """The four contraction weights; symbolic by default."""
-
-    C0: sympy.Expr = SYMBOLS["C0"]
-    C1: sympy.Expr = SYMBOLS["C1"]
-    C2: sympy.Expr = SYMBOLS["C2"]
-    C3: sympy.Expr = SYMBOLS["C3"]
-
-    def __post_init__(self) -> None:
-        for name in ("C0", "C1", "C2", "C3"):
-            object.__setattr__(self, name, _as_coeff(getattr(self, name)))
-
-    def weight(self, rule: int) -> sympy.Expr:
-        return (self.C0, self.C1, self.C2, self.C3)[rule]
 
 
 # A node is the list of factors of a (sub)product; an Integ factor carries an
@@ -58,32 +40,32 @@ def _node_factors(tree: Tree) -> List[Tree]:
     return [tree]
 
 
-# The pair patterns (L1, L2, L3) as unordered factor pairs.
-_PAIR_RULES: Tuple[Tuple[int, Tree, Tree], ...] = (
-    (1, PSI, PSI),
-    (2, IP_PSI2, IP_PSI2),
-    (3, PSI, IP_PSI_IP_PSI2),
+# The pair patterns (L1, L2, L3) as unordered factor pairs, with their weights.
+_PAIR_RULES: Tuple[Tuple[sympy.Symbol, Tree, Tree], ...] = (
+    (SYMBOLS["C1"], PSI, PSI),
+    (SYMBOLS["C2"], IP_PSI2, IP_PSI2),
+    (SYMBOLS["C3"], PSI, IP_PSI_IP_PSI2),
 )
 
 Terms = Iterator[Tuple[List[Tree], sympy.Expr]]
 
 
-def _node(factors: Sequence[Tree], params: RenormParams) -> Terms:
+def _node(factors: Sequence[Tree]) -> Terms:
     """(factors, weight) for every set of disjoint contractions at or below one node."""
     if not factors:
         yield [], sympy.Integer(1)
         return
     first, rest = factors[0], factors[1:]
-    for kept, w in _kept(first, params):
-        for out, v in _node(rest, params):
+    for kept, w in _kept(first):
+        for out, v in _node(rest):
             yield [kept, *out], w * v
     for j, other in enumerate(rest):
         others = [*rest[:j], *rest[j + 1 :]]
         # L1-L3: both subtrees are dropped.
-        for rule, pat1, pat2 in _PAIR_RULES:
+        for weight, pat1, pat2 in _PAIR_RULES:
             if (first, other) in ((pat1, pat2), (pat2, pat1)):
-                for out, v in _node(others, params):
-                    yield out, -params.weight(rule) * v
+                for out, v in _node(others):
+                    yield out, -weight * v
         # L0: the Psi is dropped and the primed integral's content, minus one
         # Psi at its root, is spliced into this node.
         for psi, integ in ((first, other), (other, first)):
@@ -91,28 +73,29 @@ def _node(factors: Sequence[Tree], params: RenormParams) -> Terms:
                 continue
             inner = _node_factors(integ.child)
             for k in (k for k, g in enumerate(inner) if g == PSI):
-                for spliced, u in _node(inner[:k] + inner[k + 1 :], params):
-                    for out, v in _node(others, params):
-                        yield [*spliced, *out], -params.C0 * u * v
+                for spliced, u in _node(inner[:k] + inner[k + 1 :]):
+                    for out, v in _node(others):
+                        yield [*spliced, *out], -SYMBOLS["C0"] * u * v
 
 
-def _kept(factor: Tree, params: RenormParams) -> Iterator[Tuple[Tree, sympy.Expr]]:
+def _kept(factor: Tree) -> Iterator[Tuple[Tree, sympy.Expr]]:
     """(factor, weight) for every set of disjoint contractions inside a kept factor."""
     if not isinstance(factor, Integ):
         yield factor, sympy.Integer(1)
         return
-    for child, w in _node(_node_factors(factor.child), params):
+    for child, w in _node(_node_factors(factor.child)):
         content = prod(*child)
         if not isinstance(content, Monomial):  # I(X^l) = 0
             yield Integ(content, factor.prime), w
 
 
-def renormalize(params: RenormParams, x: TreeCombination | Tree) -> TreeCombination:
-    """M_g x, the sum over sets of pairwise-disjoint contractions."""
+def renormalize(x: TreeCombination | Tree) -> TreeCombination:
+    """M_g x, the sum over sets of pairwise-disjoint contractions, at the symbolic
+    weights C0-C3; numeric weights are a substitution into the result."""
     if not isinstance(x, TreeCombination):
         x = TreeCombination.single(x)
     return TreeCombination(
         (prod(*factors), coeff * w)
         for tree, coeff in x.items()
-        for factors, w in _node(_node_factors(tree), params)
+        for factors, w in _node(_node_factors(tree))
     )

@@ -102,6 +102,19 @@ class TestKernel:
         assert spaced == (tmp_path / "joined" / "kernel_robin.csv").read_text()
         assert f'"{flag[2:]}": -0.2' in spaced.splitlines()[0]
 
+    def test_any_dash_led_token_is_a_flag_value(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(["--out-dir", "-x", "kernel", "--grid", 4]) == 0
+        assert (tmp_path / "-x" / "kernel_neumann.csv").exists()
+        assert run(["--out-dir", "-x", "kernel", "--kind", "robin", "--u", "-inf"]) == 2
+        assert "(u=-inf, v=0.5)" in capsys.readouterr().err
+
+    def test_help_lists_the_kinds(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["kernel", "--help"])
+        assert exc.value.code == 0
+        assert "--kind {neumann,robin,gauss}" in capsys.readouterr().out
+
 
 class TestConstantA:
     def test_json_artifact(self, tmp_path):
@@ -183,6 +196,23 @@ class TestConfigFile:
         assert run(["--config", cfg, "--out-dir", tmp_path, "kernel"]) == 2
         assert "choose from ('neumann', 'robin', 'gauss')" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("text, message", [
+        ("u = 1\n", "cannot parse config file {cfg}: File contains no section headers."),
+        ("[kernel]\nu = 1\nu = 2\n", "option 'u' in section 'kernel' already exists"),
+        ("[kernel]\n[kernel]\n", "section 'kernel' already exists"),
+        ("[simulat]\npaths = 5\n", "section [simulat] of config file {cfg} names no command"),
+        ("[DEFAULT]\npaths = 5\n", "section [DEFAULT] of config file {cfg} names no command"),
+    ], ids=["no-section-header", "repeated-key", "repeated-section", "misspelt-section",
+            "default-section"])
+    def test_malformed_file_or_section_is_config_error(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text)
+        assert run(["--config", cfg, "--out-dir", tmp_path / "out", "kernel", "--grid", 2]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and repr(str(cfg)) in err
+        assert message.format(cfg=repr(str(cfg))) in err
+        assert not (tmp_path / "out").exists()
 
     def test_workers_flag_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -302,6 +332,11 @@ class TestDegenerateInput:
          "n_samples must be at least 1 (n_samples=0)"),
         (["simulate", "--save-times", "abc"], "--save-times entry 'abc' is not a number"),
         (["simulate", "--save-times", "0.5, 1e"], "--save-times entry '1e' is not a number"),
+        (["simulate", "--dx", "abc"], "--dx 'abc' is not a number"),
+        (["simulate", "--paths", 1.5], "--paths '1.5' is not an integer"),
+        (["kernel", "--kind", "cauchy"],
+         "--kind 'cauchy'; choose from ('neumann', 'robin', 'gauss')"),
+        (["--seed", "x", "kernel"], "--seed 'x' is not an integer"),
     ], ids=["simulate-dx-0", "simulate-dx-negative", "sample-stationary-dx-0",
             "coupling-dx-0", "ergodic-dx-negative", "robin-grid-0", "constant-a-cells-0",
             "bm-drift-n-samples-0", "robin-u-nan", "simulate-u-nan", "coupling-u-nan",
@@ -314,7 +349,8 @@ class TestDegenerateInput:
             "simulate-paths-1", "constant-a-time-radius-inf", "constant-a-time-radius-nan",
             "constant-a-space-radius-inf", "constant-a-space-radius-nan", "neumann-images-0",
             "pcn-rho-1.5", "pcn-burn-in-negative", "pcn-thinning-0", "pcn-n-samples-0",
-            "simulate-save-times-abc", "simulate-save-times-second-entry"])
+            "simulate-save-times-abc", "simulate-save-times-second-entry", "simulate-dx-abc",
+            "simulate-paths-1.5", "kernel-kind-cauchy", "seed-x"])
     def test_config_error_names_the_value(self, tmp_path, capsys, argv, message):
         assert run(["--out-dir", tmp_path / "out", *argv]) == 2
         err = capsys.readouterr().err
@@ -327,7 +363,9 @@ class TestDegenerateInput:
         (["kernel"], "grid = 2.5", "[kernel] grid = '2.5' is not an integer"),
         (["experiment", "coupling"], "t-final = 1s",
          "[experiment.coupling] t_final = '1s' is not a number"),
-    ], ids=["simulate-dx-abc", "simulate-paths-1.5", "kernel-grid-2.5", "coupling-t-final-1s"])
+        (["kernel"], "u = %(x)s", "[kernel] u = '%(x)s' is not a number"),
+    ], ids=["simulate-dx-abc", "simulate-paths-1.5", "kernel-grid-2.5", "coupling-t-final-1s",
+            "kernel-u-percent"])
     def test_unparseable_config_value_names_the_key(self, tmp_path, capsys, argv, line,
                                                    message):
         cfg = tmp_path / "run.ini"

@@ -13,6 +13,7 @@ from openkpz import stationary
 from openkpz.stationary import (
     BLOCK_ROWS,
     McmcConfig,
+    McmcResult,
     RegimeError,
     check_regime,
     estimate_normalization,
@@ -137,6 +138,16 @@ class TestMcmc:
     def test_regime_enforced(self):
         with pytest.raises(RegimeError):
             sample_stationary_mcmc(0.5, -0.7, McmcConfig(), dx=1.0 / 16)
+
+    @pytest.mark.parametrize("acceptance, warnings", [
+        (0.01, ("acceptance rate 0.010 outside (0.05, 0.95); try rho around 0.250",)),
+        (0.99, ("acceptance rate 0.990 outside (0.05, 0.95); try rho around 0.900",)),
+        (0.5, ()),
+    ], ids=["low-halves-rho", "high-doubles-rho-capped-at-0.9", "healthy"])
+    def test_warnings_suggest_a_step(self, acceptance, warnings):
+        empty = np.zeros((0, 3))
+        result = McmcResult(empty, empty, acceptance, 1.0, McmcConfig(rho=0.5))
+        assert result.warnings() == warnings
 
 
 class TestImportanceSampling:

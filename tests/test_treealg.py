@@ -14,7 +14,6 @@ from openkpz.treealg import (
     ExactDegree,
     GrammarError,
     Integ,
-    RenormParams,
     basis_tree,
     check_structure_group,
     compose_gamma,
@@ -37,6 +36,13 @@ from openkpz.treealg.combination import SYMBOLS, TreeCombination
 from openkpz.treealg.basis import tree_name
 from openkpz.treealg.coproduct import PLUS_GENERATORS
 from openkpz.treealg.trees import XI, ONE, X1, prod
+
+ZERO_WEIGHTS = {SYMBOLS[f"C{i}"]: 0 for i in range(4)}
+
+
+def renormalize_at_zero_weights(tree):
+    """M_g tree with every contraction weight set to 0, by substitution."""
+    return TreeCombination((t, c.subs(ZERO_WEIGHTS)) for t, c in renormalize(tree).items())
 
 
 class TestDegrees:
@@ -174,29 +180,26 @@ class TestRenormalization:
         assert report.table_status()["renormalize"]
 
     def test_primitive_trees_fixed(self):
-        params = RenormParams()
         for name in ("Xi", "<1d>", "<2d1>", "<1d1d>"):
             x = TreeCombination.single(basis_tree(name))
-            assert renormalize(params, x) == x, name
+            assert renormalize(x) == x, name
 
     def test_pair_contraction(self):
-        params = RenormParams()
         x = TreeCombination.single(basis_tree("<2d>"))
-        out = renormalize(params, x)
+        out = renormalize(x)
         assert out.coeff(ONE) == -SYMBOLS["C1"]
 
     def test_zero_params_is_identity(self):
-        params = RenormParams(0, 0, 0, 0)
         for name in BASIS_NAMES:
             x = TreeCombination.single(basis_tree(name))
-            assert renormalize(params, x) == x, name
+            assert renormalize_at_zero_weights(x) == x, name
 
     def test_integral_of_a_contracted_monomial_is_zero(self):
         # L1 leaves I'(X1), which is 0: only the uncontracted tree survives
         psi = basis_tree("<1d>")
         tree = Integ(prod(psi, psi, X1), prime=True)
-        assert renormalize(RenormParams(0, 0, 0, 0), tree) == TreeCombination.single(tree)
-        assert renormalize(RenormParams(), tree) == TreeCombination.single(tree)
+        assert renormalize_at_zero_weights(tree) == TreeCombination.single(tree)
+        assert renormalize(tree) == TreeCombination.single(tree)
 
     @pytest.mark.parametrize("base, weight", [("<1d>", "C1"), ("<2d1d>", "C2")])
     @pytest.mark.parametrize("n", range(9))
@@ -210,7 +213,7 @@ class TestRenormalization:
              * (-SYMBOLS[weight]) ** j)
             for j in range(n // 2 + 1)
         )
-        assert renormalize(RenormParams(), prod(*[tree] * n)) == expected
+        assert renormalize(prod(*[tree] * n)) == expected
 
 
 class TestExpansion:
