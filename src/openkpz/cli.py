@@ -23,7 +23,7 @@ import json
 import sys
 from itertools import repeat
 from pathlib import Path
-from typing import Dict, Iterable, Sequence, Set, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -92,9 +92,10 @@ def _parse(kind: type, raw: str, where: str):
         raise ConfigError(f"{where} {raw!r} is not {expected}") from None
 
 
-def _resolve(args: argparse.Namespace, section: str) -> Tuple[Dict, Set[str]]:
-    """Options (defaults < config-file section < flags) and the keys set; unknown keys rejected.
-    Each INI value and flag set is text, read once by ``_parse`` and the ``CHOICES`` check."""
+def _resolve(args: argparse.Namespace, section: str) -> Tuple[Dict, Dict[str, str]]:
+    """Options (defaults < config-file section < flags), and where each key set was set;
+    unknown keys, and a key that a section spells both ways, are rejected.  Each INI
+    value and flag set is text, read once by ``_parse`` and the ``CHOICES`` check."""
     defaults = {**OPTIONS[section], "seed": 0}
     given = []  # (key, text, where it was set); a later entry wins
     if path := getattr(args, "config", None):
@@ -108,10 +109,15 @@ def _resolve(args: argparse.Namespace, section: str) -> Tuple[Dict, Set[str]]:
         for name in ini.sections():
             if name not in OPTIONS:
                 raise ConfigError(f"section [{name}] of config file {path!r} names no command")
-        for key, raw in ini.items(section) if ini.has_section(section) else ():
-            key = key.replace("-", "_")
+        spelled: Dict[str, str] = {}  # key -> its spelling in the section
+        for spelling, raw in ini.items(section) if ini.has_section(section) else ():
+            key = spelling.replace("-", "_")
             if key not in defaults:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
+            if key in spelled:
+                raise ConfigError(f"section [{section}] sets {key!r} twice, as "
+                                  f"{spelled[key]!r} and as {spelling!r}")
+            spelled[key] = spelling
             given.append((key, raw, f"[{section}] {key} ="))
     given += [(key, getattr(args, key), "--" + key.replace("_", "-"))
               for key in defaults if getattr(args, key, None) is not None]
@@ -122,12 +128,12 @@ def _resolve(args: argparse.Namespace, section: str) -> Tuple[Dict, Set[str]]:
             raise ConfigError(f"{where} {raw!r}; choose from {CHOICES[key]}")
     if resolved["seed"] < 0:
         raise ConfigError(f"seed must be a non-negative integer (seed={resolved['seed']})")
-    return resolved, {key for key, _, _ in given}
+    return resolved, {key: where for key, _, where in given}
 
 
-def _read_by(variant: str, resolved: Dict, explicit: Set[str]) -> Dict:
+def _read_by(variant: str, resolved: Dict, explicit: Dict[str, str]) -> Dict:
     """The options ``variant`` reads and the seed; setting any other option is an error."""
-    unread = sorted(explicit - {*READS[variant], "seed"})
+    unread = sorted(explicit.keys() - {*READS[variant], "seed"})
     if unread:
         raise ConfigError(f"the {variant} variant does not read {', '.join(map(repr, unread))}")
     return {key: resolved[key] for key in (*READS[variant], "seed")}
@@ -225,11 +231,14 @@ def cmd_constant_a(args) -> int:
 def cmd_simulate(args) -> int:
     from openkpz import shesolver
 
-    resolved, _ = _resolve(args, "simulate")
+    resolved, explicit = _resolve(args, "simulate")
     dx = resolved["dx"]
     dt = default_dt(dx)
     t_final = snap_time(resolved["t_final"], dt)
-    saves = tuple(snap_time(_parse(float, s, "--save-times entry"), dt)
+    # a bad entry is "--save-times entry 'x'" from the flag, "[simulate] save_times = 'x'" from INI
+    where = explicit.get("save_times", "")
+    where += " entry" if where.startswith("--") else ""
+    saves = tuple(snap_time(_parse(float, s, where), dt)
                   for s in map(str.strip, resolved["save_times"].split(",")) if s)
     n_paths = resolved["paths"]
     if n_paths < 2:

@@ -1,8 +1,10 @@
 """Exact symbolic engine for the KPZ tree algebra.
 
 Everything in this subpackage is exact: degrees live in Q + Q*kappa
-(`ExactDegree`), coefficients are sympy polynomials over Q in a fixed set of
-named scalar indeterminates.  No floating point arithmetic is used anywhere.
+(`ExactDegree`), coefficients are `Poly` values, polynomials with `Fraction`
+coefficients in a fixed set of named scalar indeterminates, and numeric values
+for those come from `Poly.subs`.  No floating point arithmetic is used
+anywhere, and importing the engine loads no computer-algebra package.
 """
 
 from openkpz.treealg.degree import ExactDegree, AmbiguousDegreeError

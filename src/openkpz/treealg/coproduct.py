@@ -10,9 +10,8 @@ always primitive on the left, ``Delta I'(t) = (I' x id) Delta t``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import List, Tuple
-
-import sympy
 
 from openkpz.treealg.basis import (
     IP_PSI,
@@ -25,6 +24,7 @@ from openkpz.treealg.basis import (
 )
 from openkpz.treealg.combination import (
     SYMBOLS,
+    Poly,
     RightMono,
     TensorElement,
     TreeCombination,
@@ -70,7 +70,7 @@ def coproduct(tree: Tree) -> TensorElement:
         if tree.l0 != 0:
             raise CoproductDomainError(f"{tree!r} does not occur in the recursion")
         return TensorElement(
-            ((Monomial(0, k), (X1,) * (tree.l1 - k)), sympy.binomial(tree.l1, k))
+            ((Monomial(0, k), (X1,) * (tree.l1 - k)), comb(tree.l1, k))
             for k in range(tree.l1 + 1)
         )
     if isinstance(tree, Product):
@@ -97,7 +97,7 @@ def coproduct(tree: Tree) -> TensorElement:
 class CharacterF:
     """Multiplicative functional on the plus algebra, given on generators."""
 
-    values: Tuple[sympy.Expr, ...]  # aligned with PLUS_GENERATORS
+    values: Tuple[Poly, ...]  # aligned with PLUS_GENERATORS
 
     def __post_init__(self) -> None:
         if len(self.values) != len(PLUS_GENERATORS):
@@ -106,14 +106,14 @@ class CharacterF:
             self, "values", tuple(_as_coeff(v) for v in self.values)
         )
 
-    def value(self, generator: Tree) -> sympy.Expr:
+    def value(self, generator: Tree) -> Poly:
         for (gen, _), val in zip(PLUS_GENERATORS, self.values):
             if gen == generator:
                 return val
         raise KeyError(f"{generator!r} is not a plus-algebra generator")
 
-    def of_monomial(self, right: RightMono) -> sympy.Expr:
-        out = sympy.Integer(1)
+    def of_monomial(self, right: RightMono) -> Poly:
+        out = Poly.const(1)
         for gen in right:
             out = out * self.value(gen)
         return out
@@ -199,13 +199,13 @@ def compose_gamma(f: CharacterF, g: CharacterF) -> CharacterF:
 
     a = composed(X1).coeff(ONE)  # Gamma(X1) = X1 + a 1
 
-    def value(gen: Tree) -> sympy.Expr:
+    def value(gen: Tree) -> Poly:
         if gen == X1:
             return a
         if isinstance(gen, Integ) and gen.prime:  # the X1 coefficient of Gamma(I(tau))
             return composed(Integ(gen.child)).coeff(X1)
         image = composed(gen)
-        return sympy.expand(image.coeff(ONE) - a * image.coeff(X1))
+        return image.coeff(ONE) - a * image.coeff(X1)
 
     h = CharacterF(tuple(value(gen) for gen, _ in PLUS_GENERATORS))
     for name, tree, _ in basis_W():

@@ -11,12 +11,11 @@ the renormalization group.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Tuple
 
-import sympy
-
 from openkpz.treealg.basis import PSI, basis_tree
-from openkpz.treealg.combination import SYMBOLS, TreeCombination
+from openkpz.treealg.combination import SYMBOLS, Poly, TreeCombination
 from openkpz.treealg.degree import ExactDegree
 from openkpz.treealg.renorm import renormalize
 from openkpz.treealg.trees import ONE, X1, tree_degree
@@ -42,7 +41,7 @@ def picard_W() -> TreeCombination:
         quad = dw.mul(dw) + dw.mul(_DPSI) + _DPSI.mul(_DPSI)
         linear = (dw + _DPSI).scale(a10)
         nxt = seed + (
-            quad.scale(sympy.Rational(1, 2)).integrate() + linear.integrate()
+            quad.scale(Fraction(1, 2)).integrate() + linear.integrate()
         ).project_leq(_W_BOUND)
         if nxt == current:
             return current
@@ -69,7 +68,7 @@ class ConstantExtractionError(RuntimeError):
         self.residual = residual
 
 
-def renorm_constants() -> Tuple[sympy.Expr, sympy.Expr, sympy.Expr]:
+def renorm_constants() -> Tuple[Poly, Poly, Poly]:
     """Counterterm constants (c1, c2, c3) of the renormalized equation, at the
     symbolic contraction weights C0-C3.
 
@@ -91,9 +90,9 @@ def renorm_constants() -> Tuple[sympy.Expr, sympy.Expr, sympy.Expr]:
     denom = mg_dw_leq0.coeff(tree_2d1d)
     if denom == 0:
         raise ConstantExtractionError(r)
-    c1 = sympy.expand(-r.coeff(tree_2d1d) / denom)
-    c2 = sympy.expand(-r.coeff(tree_1d))
-    c3 = sympy.expand(-r.coeff(ONE) - c1 * mg_dw_leq0.coeff(ONE))
+    c1 = -r.coeff(tree_2d1d) / denom
+    c2 = -r.coeff(tree_1d)
+    c3 = -r.coeff(ONE) - c1 * mg_dw_leq0.coeff(ONE)
 
     residual = r + mg_dw_leq0.scale(c1) + TreeCombination({tree_1d: c2, ONE: c3})
     if residual.terms:

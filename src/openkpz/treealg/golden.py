@@ -14,10 +14,8 @@ import importlib.resources
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-import sympy
-
 from openkpz.treealg.basis import _split_top, basis_W, parse_tree
-from openkpz.treealg.combination import TensorElement, TreeCombination, _as_coeff, right_mono
+from openkpz.treealg.combination import Poly, TensorElement, TreeCombination, right_mono
 from openkpz.treealg.coproduct import check_structure_group, coproduct, gamma_f, generic_character
 from openkpz.treealg.degree import ExactDegree, degree_from_string
 from openkpz.treealg.expansion import renorm_constants
@@ -29,13 +27,13 @@ TABLE_NAMES = ("degree", "coproduct", "gamma", "renormalize")
 EXPECTED_CONSTANTS = ("C0", "2*C0", "C2/4 + C3/2 + 2*a10*C0 + C1")
 
 
-def _parse_term(term: str) -> Tuple[Tree, str]:
+def _parse_term(term: str) -> Tuple[Tree, Poly]:
     """Split an optional leading parenthesized coefficient off a tree term."""
     if not term.startswith("("):
-        return parse_tree(term), "1"
+        return parse_tree(term), Poly.const(1)
     # past the opening '(', the first ')' outside brackets closes the coefficient
     coeff, tree = _split_top(term[1:], ")")
-    return parse_tree(tree), coeff
+    return parse_tree(tree), Poly.parse(coeff)
 
 
 def parse_combination(text: str) -> TreeCombination:
@@ -95,7 +93,7 @@ class GoldenReport:
 
     mismatches: List[Tuple[str, str, str]] = field(default_factory=list)
     rows_checked: int = 0
-    constants: Tuple[sympy.Expr, ...] = ()
+    constants: Tuple[Poly, ...] = ()
 
     @property
     def all_passed(self) -> bool:
@@ -151,7 +149,7 @@ def verify_golden_tables() -> GoldenReport:
                           for law, holds, witness in check_structure_group(f) if not holds]
     report.constants = renorm_constants()
     for k, (got, text) in enumerate(zip(report.constants, EXPECTED_CONSTANTS), 1):
-        want = _as_coeff(text)
-        if sympy.expand(got - want) != 0:
+        want = Poly.parse(text)
+        if got != want:
             report.mismatches.append(("constants", f"c{k}", f"computed {got} != expected {want}"))
     return report

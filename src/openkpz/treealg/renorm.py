@@ -25,10 +25,8 @@ from __future__ import annotations
 
 from typing import Iterator, List, Sequence, Tuple
 
-import sympy
-
 from openkpz.treealg.basis import IP_PSI2, IP_PSI_IP_PSI2, PSI
-from openkpz.treealg.combination import SYMBOLS, TreeCombination
+from openkpz.treealg.combination import SYMBOLS, Poly, TreeCombination
 from openkpz.treealg.trees import Integ, Monomial, Product, Tree, prod
 
 
@@ -41,19 +39,19 @@ def _node_factors(tree: Tree) -> List[Tree]:
 
 
 # The pair patterns (L1, L2, L3) as unordered factor pairs, with their weights.
-_PAIR_RULES: Tuple[Tuple[sympy.Symbol, Tree, Tree], ...] = (
+_PAIR_RULES: Tuple[Tuple[Poly, Tree, Tree], ...] = (
     (SYMBOLS["C1"], PSI, PSI),
     (SYMBOLS["C2"], IP_PSI2, IP_PSI2),
     (SYMBOLS["C3"], PSI, IP_PSI_IP_PSI2),
 )
 
-Terms = Iterator[Tuple[List[Tree], sympy.Expr]]
+Terms = Iterator[Tuple[List[Tree], Poly]]
 
 
 def _node(factors: Sequence[Tree]) -> Terms:
     """(factors, weight) for every set of disjoint contractions at or below one node."""
     if not factors:
-        yield [], sympy.Integer(1)
+        yield [], Poly.const(1)
         return
     first, rest = factors[0], factors[1:]
     for kept, w in _kept(first):
@@ -78,10 +76,10 @@ def _node(factors: Sequence[Tree]) -> Terms:
                         yield [*spliced, *out], -SYMBOLS["C0"] * u * v
 
 
-def _kept(factor: Tree) -> Iterator[Tuple[Tree, sympy.Expr]]:
+def _kept(factor: Tree) -> Iterator[Tuple[Tree, Poly]]:
     """(factor, weight) for every set of disjoint contractions inside a kept factor."""
     if not isinstance(factor, Integ):
-        yield factor, sympy.Integer(1)
+        yield factor, Poly.const(1)
         return
     for child, w in _node(_node_factors(factor.child)):
         content = prod(*child)

@@ -364,8 +364,13 @@ class TestDegenerateInput:
         (["experiment", "coupling"], "t-final = 1s",
          "[experiment.coupling] t_final = '1s' is not a number"),
         (["kernel"], "u = %(x)s", "[kernel] u = '%(x)s' is not a number"),
+        (["simulate"], "save-times = abc", "[simulate] save_times = 'abc' is not a number"),
+        (["simulate"], "save_times = 0.5, 1e", "[simulate] save_times = '1e' is not a number"),
+        (["simulate"], "t-final = 0.5\nt_final = 0.25",
+         "section [simulate] sets 't_final' twice, as 't-final' and as 't_final'"),
     ], ids=["simulate-dx-abc", "simulate-paths-1.5", "kernel-grid-2.5", "coupling-t-final-1s",
-            "kernel-u-percent"])
+            "kernel-u-percent", "simulate-save-times-abc", "simulate-save-times-second-entry",
+            "simulate-t-final-both-spellings"])
     def test_unparseable_config_value_names_the_key(self, tmp_path, capsys, argv, line,
                                                    message):
         cfg = tmp_path / "run.ini"
@@ -375,6 +380,14 @@ class TestDegenerateInput:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and message in err
         assert not (tmp_path / "out").exists()
+
+    def test_save_times_flag_over_the_ini_is_named_as_the_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[simulate]\nsave-times = 0.5\n")
+        assert run(["--config", cfg, "--out-dir", tmp_path / "out", "simulate",
+                    "--save-times", "abc"]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: --save-times entry 'abc' is not a number\n")
 
     @pytest.mark.parametrize("command", ["simulate", "kernel", "experiment.coupling"])
     @pytest.mark.parametrize("source", ["flag", "ini"])
