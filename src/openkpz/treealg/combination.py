@@ -56,6 +56,8 @@ class Poly:
         """From monomial -> coefficient; a monomial's pairs may come in any order."""
         summed: Dict[PolyMonomial, Fraction] = {}
         for mono, coeff in dict(terms).items():
+            if not isinstance(coeff, (int, Fraction)):
+                raise TypeError(f"{coeff!r} is not an exact coefficient (int or Fraction)")
             exps: Dict[str, int] = {}
             for name, e in mono:
                 if not _NAME.fullmatch(name) or not isinstance(e, int) or e < 0:

@@ -111,5 +111,7 @@ def test_division_by_anything_but_a_nonzero_constant_names_both(divisor, error):
 def test_inexact_coefficients_and_non_symbols_are_rejected():
     with pytest.raises(TypeError, match="0.5"):
         SYMBOLS["a"] * 0.5
+    with pytest.raises(TypeError, match="0.1"):
+        Poly({(("a", 1),): 0.1})
     with pytest.raises(TypeError, match=re.escape("symbol names, not a")):
         SYMBOLS["a"].subs({SYMBOLS["a"]: 1})
