@@ -2,10 +2,11 @@
 
 Scheme: semi-implicit Euler-Maruyama.  The linear part (1/2) d^2/dx^2 with
 Robin ghost points is treated by Crank-Nicolson, written as the implicit
-midpoint rule so that a step is one tridiagonal solve; the Ito forcing is
-Z_j eta_j sqrt(dt/dx) per cell and step with independent standard Gaussians
-(the space-time white noise discretization).  Paths that lose positivity
-are flagged and excluded from statistics, never clamped.
+midpoint rule so that a step is one symmetric tridiagonal solve on the scaled
+state y = W^1/2 z, W = diag(1/2, 1, ..., 1, 1/2), in which L is self-adjoint;
+the Ito forcing is Z_j eta_j sqrt(dt/dx) per cell and step with independent
+standard Gaussians (the space-time white noise discretization).  Paths that
+lose positivity are flagged and excluded from statistics, never clamped.
 
 Determinism and threads: noise streams are derived from (seed, chunk index)
 with a fixed chunk size of paths.  The chunks run concurrently, one thread
@@ -18,8 +19,8 @@ row; one draw of K steps is the same stream as K draws of one, so the output
 does not depend on the block size either.
 The one-force coupling is two runs with the same seed, same config: the
 noise does not depend on the initial data.
-The step solves with LAPACK's tridiagonal LU (``dgttrf``/``dgttrs``), which
-calls no BLAS and releases the GIL, so the threads overlap.
+The step solves with LAPACK's ``dpttrs``, which calls no BLAS but holds the
+GIL, so the chunk threads overlap their noise draws and not their solves.
 """
 
 from __future__ import annotations
@@ -30,16 +31,16 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dpttrs
 
 from openkpz.grid import check_time, default_dt, grid_size, time_steps
 from openkpz.kernels import CrankNicolson, robin_laplacian
 
 RNG_CHUNK = 512  # paths per independent noise stream
 # Noise bytes per block draw; no bit depends on it.  It gives K = 248 steps for
-# one path at dx = 1/32, where a step went from 11.6 to 8.1 us with the in-place
-# forcing, and K = 1 at 512 x 65, where K = 8 was no faster (1195 against
-# 1140 us a step); medians of alternating rounds on 2 vCPUs.
+# one path at dx = 1/32, where a step takes 6.2 us against 9.3 us at K = 1, and
+# K = 1 at 512 x 65, where K = 8 was no faster (933 against 821 us a step);
+# medians of alternating rounds on 2 vCPUs, one BLAS thread.
 _BLOCK_BYTES = 1 << 16
 
 
@@ -128,28 +129,36 @@ def _usable_cpus() -> int:
 
 
 class _TridiagonalStep:
-    """One Crank-Nicolson step (I - dt/2 L) z' = (I + dt/2 L) z + forcing.
+    """One Crank-Nicolson step (I - dt/2 L) z' = (I + dt/2 L) z + forcing, on y = W^1/2 z.
 
-    With A = I - dt/2 L the explicit half is 2I - A, so the step is the
-    implicit midpoint rule z' = A^{-1}(2z + forcing) - z: one solve with the
-    tridiagonal LU of A, factored once here.  The transposed (paths, n+1)
-    right-hand side is Fortran-ordered, so ``dgttrs`` solves it in place:
-    forcing is overwritten and returned (one that is not C-ordered is solved
-    in a copy), and z is never written.  ``dgttrs`` calls no BLAS and releases
-    the GIL, so threads may share one instance: it is read-only after
-    construction.
+    With A = I - dt/2 L the step is the implicit midpoint rule
+    z' = A^{-1}(2z + forcing) - z, so on y (``scale`` is W^1/2's diagonal) it
+    is y' = S^{-1}(2y + W^1/2 forcing) - y with the symmetric S = W^1/2 A W^-1/2.
+    S's LDL^T factors are computed once here, without pivoting or a test of
+    definiteness (A is indefinite for steep negative slopes); a zero pivot is
+    an error.  ``dpttrs`` solves the Fortran-ordered transposed (paths, n+1)
+    forcing in place and returns it (one that is not C-ordered is solved in a
+    copy); y is never written.  Threads may share the read-only instance, but
+    scipy's ``dpttrs`` holds the GIL, so their solves do not overlap.
     """
 
     def __init__(self, L, dt: float):
-        lower, diag, upper = (-0.5 * dt * L.diagonal(k) for k in (-1, 0, 1))
-        *self._lu, info = dgttrf(lower, 1.0 + diag, upper)
-        if info != 0:
-            raise ValueError(f"I - dt/2 L is singular (dgttrf info {info})")
+        self.scale = np.sqrt(np.r_[0.5, np.ones(L.shape[0] - 2), 0.5])
+        d = (1.0 - 0.5 * dt * L.diagonal()).tolist()
+        e = (-0.5 * dt * L.diagonal(1) * self.scale[:-1] / self.scale[1:]).tolist()
+        for i, ei in enumerate(e):  # dpttrf's recurrence, without its test d > 0
+            if d[i] == 0.0:
+                break
+            e[i] = ei / d[i]
+            d[i + 1] -= e[i] * ei
+        if 0.0 in d:
+            raise ValueError(f"I - dt/2 L is singular (zero pivot at node {d.index(0.0)})")
+        self._ldl = np.array(d), np.array(e)
 
-    def __call__(self, z: np.ndarray, forcing: np.ndarray) -> np.ndarray:
-        forcing += z + z  # 2z exactly, without a scalar operand
-        x = dgttrs(*self._lu, forcing.T, overwrite_b=True)[0].T
-        x -= z
+    def __call__(self, y: np.ndarray, forcing: np.ndarray) -> np.ndarray:
+        forcing += y + y  # 2y exactly, without a scalar operand
+        x = dpttrs(*self._ldl, forcing.T, overwrite_b=True)[0].T
+        x -= y
         return x
 
 
@@ -184,27 +193,27 @@ def simulate_she(z0: np.ndarray, params: BoundaryParams, cfg: SimConfig) -> SheR
         start = chunk_idx * RNG_CHUNK
         stop = min(start + RNG_CHUNK, cfg.n_paths)
         rng = _noise_stream(cfg.seed, chunk_idx)
-        z = z_all[start:stop]
-        low = z.copy()  # the running minimum, from finite data
+        if 0 in saves:
+            snaps[saves[0]][start:stop] = z_all[start:stop]
+        y = z_all[start:stop] * step.scale  # W^1/2 z, with z's signs and finiteness
+        low = y.copy()  # the running minimum, from finite data
         # each step's new state is built in its noise row, so draws alternate
         # between two halves: the state in one half's last row outlives the next
-        n_block = max(1, min(cfg.n_steps, _BLOCK_BYTES // z.nbytes))
-        block = np.empty((2, n_block) + z.shape)
-        if 0 in saves:
-            snaps[saves[0]][start:stop] = z
+        n_block = max(1, min(cfg.n_steps, _BLOCK_BYTES // y.nbytes))
+        block = np.empty((2, n_block) + y.shape)
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
             for b, first in enumerate(range(1, cfg.n_steps + 1, n_block)):
                 noise = block[b % 2, : cfg.n_steps + 1 - first]
                 rng.standard_normal(out=noise)
                 for k, forcing in enumerate(noise, first):
-                    forcing *= z
+                    forcing *= y
                     forcing *= noise_scale
-                    z = step(z, forcing)
-                    np.fmin(low, z, low)
+                    y = step(y, forcing)
+                    np.fmin(low, y, low)
                     if k in saves:
-                        snaps[saves[k]][start:stop] = z
+                        np.divide(y, step.scale, out=snaps[saves[k]][start:stop])
         # the step turns inf into NaN and keeps NaN, so the last state shows every overflow
-        overflowed = ~np.isfinite(z).all(axis=1)
+        overflowed = ~np.isfinite(y).all(axis=1)
         if overflowed.any():
             raise RuntimeError(
                 f"overflow at (u, v) = ({params.u}, {params.v}), dx = {cfg.dx}: {overflowed.sum()} "

@@ -110,6 +110,20 @@ class TestRobin:
         assert n_steps == round(8 * t)
         assert dt == t / n_steps
 
+    @pytest.mark.parametrize("n", [2, 4, 32, 64])
+    @pytest.mark.parametrize("u, v", [(0.5, 0.5), (1.0, 0.0), (-0.5, 2.0), (-60.0, -60.0),
+                                      (300.0, -7.0)])
+    def test_laplacian_self_adjoint_in_end_weights(self, n, u, v):
+        # the ghost points give each end node half a cell: W = diag(1/2, 1, ..., 1, 1/2)
+        L = kernels.robin_laplacian(n, u, v).toarray()
+        w = np.ones(n + 1)
+        w[[0, -1]] = 0.5
+        assert np.array_equal(w[:, None] * L, (w[:, None] * L).T)
+        # so S = W^1/2 A W^-1/2 with A = I - dt/2 L is symmetric to rounding
+        A = np.eye(n + 1) - 0.25 / n**2 * L
+        S = np.sqrt(w)[:, None] * A / np.sqrt(w)
+        assert np.max(np.abs(S - S.T)) <= 4 * np.finfo(float).eps * np.max(np.abs(S))
+
     @pytest.mark.parametrize("u, v", [(np.nan, 0.5), (0.5, np.inf)])
     def test_nonfinite_slope_rejected(self, u, v):
         with pytest.raises(ValueError, match=rf"slopes must be finite \(u={u}, v={v}\)"):

@@ -6,6 +6,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from openkpz import shesolver
 from openkpz.grid import MAX_STEPS, default_dt, grid_size, snap_time, time_steps
@@ -76,16 +77,18 @@ class TestConfig:
 
 
 class TestDeterministicLimit:
-    """The solver's step with zero forcing is the noise-free scheme of the oracle."""
+    """The solver's step with zero forcing is the noise-free scheme of the oracle.
+
+    The step acts on y = W^1/2 z, with W^1/2's diagonal in ``step.scale``."""
 
     @staticmethod
     def _advance(z0, params, dx, t, n_paths):
         dt = default_dt(dx)
         step = shesolver._TridiagonalStep(robin_laplacian(grid_size(dx), params.u, params.v), dt)
-        z = np.tile(z0, (n_paths, 1))
+        y = np.tile(z0, (n_paths, 1)) * step.scale
         for _ in range(time_steps(t, dt)):
-            z = step(z, np.zeros_like(z))  # the step overwrites its forcing
-        return z
+            y = step(y, np.zeros_like(y))  # the step overwrites its forcing
+        return y / step.scale
 
     def test_neumann_constant_invariant(self):
         # With u = v = 1/2 the transformed equation is pure Neumann heat flow,
@@ -107,9 +110,11 @@ class TestDeterministicLimit:
         z = np.exp(rng.normal(size=(4, grid_size(dx) + 1)))
         forcing = rng.normal(size=z.shape)
         step = shesolver._TridiagonalStep(L, default_dt(dx))
-        got = step(z, forcing.copy())  # the step overwrites its forcing
+        y = z * step.scale
+        got = step(y, forcing * step.scale)  # the step overwrites its forcing
         # a forcing that is not C-ordered is solved in a copy, to the same bits
-        assert np.array_equal(step(z, np.asfortranarray(forcing)), got)
+        assert np.array_equal(step(y, np.asfortranarray(forcing * step.scale)), got)
+        got /= step.scale
         cn = CrankNicolson(L, default_dt(dx))
         for row, zi, fi in zip(got, z, forcing):
             want = cn.step_with_forcing(zi, fi)
@@ -118,7 +123,30 @@ class TestDeterministicLimit:
     def test_step_requires_the_forcing(self):
         step = shesolver._TridiagonalStep(robin_laplacian(4, 0.5, 0.5), default_dt(0.25))
         with pytest.raises(TypeError):
-            step(np.ones((1, 5)))
+            step(np.ones((1, 5)) * step.scale)
+
+    @pytest.mark.parametrize("dx, u, v", [(1.0 / 32, 1.0, 0.0), (1.0 / 32, -0.5, 2.0),
+                                          (1.0 / 64, 3.0, 3.0), (0.25, 0.5, -0.5),
+                                          (0.125, -20.0, -20.0), (0.125, -60.0, -60.0)])
+    def test_step_matches_a_dense_solve(self, dx, u, v):
+        # z' = A^{-1}(2z + forcing) - z with A = I - dt/2 L; at (-60, -60) and
+        # dx = 1/8 A is indefinite, and its pivot-free LDL^T must still hold
+        n, dt = grid_size(dx), default_dt(dx)
+        L = robin_laplacian(n, u, v)
+        A = np.eye(n + 1) - 0.5 * dt * L.toarray()
+        rng = np.random.default_rng(8)
+        z = np.exp(rng.normal(size=(6, n + 1)))
+        forcing = 0.3 * rng.normal(size=z.shape) * z
+        want = np.linalg.solve(A, (2 * z + forcing).T).T - z
+        step = shesolver._TridiagonalStep(L, dt)
+        got = step(z * step.scale, forcing * step.scale) / step.scale
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_zero_pivot_is_singular(self):
+        # A = I - dt/2 L with L's first diagonal entry 2/dt has A[0, 0] = 0
+        L = sparse.diags([[1.0, 1.0], [4.0, -2.0, -2.0], [1.0, 1.0]], [-1, 0, 1])
+        with pytest.raises(ValueError, match=r"I - dt/2 L is singular \(zero pivot at node 0\)"):
+            shesolver._TridiagonalStep(L, 0.5)
 
     def test_oracle_rejects_dx_that_does_not_divide_one(self):
         # 1/0.03 is not an integer: the grid of 34 values and dt = dx^2/2
@@ -275,6 +303,26 @@ def _multi_chunk():
     return 1.0 + 0.5 * np.cos(np.pi * np.linspace(0, 1, cfg.n + 1)), BoundaryParams(1.0, 0.0), cfg
 
 
+def _one_draw_per_step(z0, params, cfg):
+    """The block code's reference: each chunk draws one step's noise at a time
+    and builds its forcing and new state out of place."""
+    step = shesolver._TridiagonalStep(robin_laplacian(cfg.n, params.u, params.v), cfg.dt)
+    z_all = np.broadcast_to(z0, (cfg.n_paths, cfg.n + 1))
+    saves = cfg.save_step_indices()
+    snaps = {t: np.array(z_all) for t in saves.values()}
+    lost = np.zeros(cfg.n_paths, dtype=bool)
+    for chunk, start in enumerate(range(0, cfg.n_paths, shesolver.RNG_CHUNK)):
+        rows = slice(start, start + shesolver.RNG_CHUNK)
+        rng = shesolver._noise_stream(cfg.seed, chunk)
+        y = z_all[rows] * step.scale
+        for k in range(1, cfg.n_steps + 1):
+            y = step(y, rng.standard_normal(y.shape) * y * np.sqrt(cfg.dt / cfg.dx))
+            lost[rows] |= (y <= 0).any(axis=1)
+            if k in saves:
+                snaps[saves[k]][rows] = y / step.scale
+    return shesolver.SheResult(snaps, lost, cfg)
+
+
 def _digest(res):
     digest = hashlib.sha256()
     for t in sorted(res.snapshots):
@@ -284,11 +332,11 @@ def _digest(res):
 
 
 class TestBlocks:
-    # SHA-256 of the snapshots in time order and then the flags, as the
-    # one-draw-per-step loop gave them (numpy 2.4, x86-64): block draws and
-    # the in-place step must give every bit.
-    PINNED = {"single-path": "5a532bb0136edd2bc4da27b0c7d6c01ca6403d027431b07277c0fd9d4cef6b73",
-              "multi-chunk": "04a1c9171c51baedbde5ca3e4ac74f3d1bf60f248f0241bd0efd64aac2280650"}
+    # SHA-256 of the snapshots in time order and then the flags, as
+    # _one_draw_per_step gave them (numpy 2.4, scipy 1.17, x86-64): block draws
+    # and the in-place step must give every bit.
+    PINNED = {"single-path": "b5f9e847020043c02f26d3f94ac2db045db35ac85982fdba900d88e27cfbf1ef",
+              "multi-chunk": "6d608cbdb27704a342f87109709c8dce91e9753c6b276a315e33d2d4448236db"}
     RUNS = pytest.mark.parametrize("name, run", [("single-path", _single_path),
                                                  ("multi-chunk", _multi_chunk)])
 
@@ -297,6 +345,10 @@ class TestBlocks:
         res = simulate_she(*run())
         assert res.positivity_lost.any() == (name == "multi-chunk")
         assert _digest(res) == self.PINNED[name]
+
+    @RUNS
+    def test_block_code_matches_one_draw_per_step(self, name, run):
+        assert _digest(simulate_she(*run())) == _digest(_one_draw_per_step(*run()))
 
     @RUNS
     def test_bit_identical_for_any_block_size(self, name, run, monkeypatch):
