@@ -17,7 +17,6 @@ from typing import Tuple
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
-from scipy.special import erf
 
 from openkpz.grid import check_time, step_count
 
@@ -203,7 +202,7 @@ def _constant_a_single(rho: Mollifier, n: int) -> float:
 
         G(s) = int A_y(y) F(s, y) dy
              = 2 sqrt(2 s) int_0^inf A_y(sqrt(2 s) u) g(u) du,
-        g(u) = (1 - Erf(u)) / 2 - (2 / sqrt(pi)) u exp(-u^2),
+        g(u) = Erfc(u) / 2 - (2 / sqrt(pi)) u exp(-u^2),
 
     and s = sigma^2 absorbs the remaining sqrt(s) factor, so both loops
     converge at full order.
@@ -213,7 +212,9 @@ def _constant_a_single(rho: Mollifier, n: int) -> float:
     un, uw = np.polynomial.legendre.leggauss(96)
     u = 0.5 * ucut * (un + 1.0)
     uw = 0.5 * ucut * uw
-    g = 0.5 * (1.0 - erf(u)) - (2.0 / math.sqrt(math.pi)) * u * np.exp(-u * u)
+    # erfc, not 1 - erf: 1 - erf(u) rounds to 0 at 42 of the 96 nodes
+    erfc = np.array([math.erfc(node) for node in u])
+    g = 0.5 * erfc - (2.0 / math.sqrt(math.pi)) * u * np.exp(-u * u)
 
     # outer rule: midpoint in sigma = sqrt(s) over (0, sqrt(2 rt)]
     smax = math.sqrt(2.0 * rho.time_radius)

@@ -11,14 +11,19 @@ according to a density against a variance-1/2 Brownian motion:
 
 beta is sampled by preconditioned Crank-Nicolson (pCN) Metropolis, whose
 proposal preserves the Gaussian reference exactly, so acceptance uses only
-the weight ratio.  The importance-sampling cross-check oracles stream N iid
-reference paths beta in row blocks, bit-identical to a full-size draw, and
-draw W only at the k points they report, with the same law as a full path:
-O(N (k + 1)) floats plus two increment blocks and one path block.  A
-one-worker ThreadPoolExecutor draws the next blocks while the current one
-is weighted; it is the only thread that draws, and it runs the draws in the
-order they were submitted, which is stream order, so the output does not
-depend on the scheduling.
+the weight ratio.  The proposal noise does not depend on the state, so the
+chain draws it NOISE_ROWS steps at a time from the seed's stream, and the
+acceptance uniforms as many at a time from a child stream spawned from the
+seed's generator: no bit depends on the block size.
+
+The importance-sampling cross-check oracles stream N iid reference paths
+beta in row blocks, bit-identical to a full-size draw, and draw W only at
+the k points they report, with the same law as a full path: O(N (k + 1))
+floats plus two increment blocks and one path block.  A one-worker
+ThreadPoolExecutor draws the next blocks while the current one is weighted;
+it is the only thread that draws, and it runs the draws in the order they
+were submitted, which is stream order, so the output does not depend on the
+scheduling.
 """
 
 from __future__ import annotations
@@ -34,6 +39,10 @@ from openkpz.grid import grid_size
 # at dx = 1/64 took 0.44 s at 1024 rows and 0.41 s at 2048, 4096 and 8192
 # (2 vCPUs, medians of 5 alternating rounds); more rows only add memory.
 BLOCK_ROWS = 4096
+
+# pCN steps whose proposal noise is drawn at once, into two reused buffers of
+# this many rows rather than the whole chain's noise; no bit depends on it.
+NOISE_ROWS = 256
 
 
 class RegimeError(ValueError):
@@ -99,7 +108,7 @@ def rn_log_weight(beta: np.ndarray, u: float, v: float, dx: float) -> np.ndarray
     trapezoids = np.add(e[..., 1:], e[..., :-1])
     trapezoids *= dx
     trapezoids /= 2.0
-    return -2.0 * v * beta[..., -1] - (u + v) * np.log(trapezoids.sum(axis=-1))
+    return -2.0 * v * beta[..., -1] - (u + v) * np.log(np.add.reduce(trapezoids, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -169,28 +178,33 @@ def sample_stationary_mcmc(
     output samples h = W + beta."""
     check_regime(u, v)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
+    accept_rng = rng.spawn(1)[0]
     root = np.sqrt(1.0 - cfg.rho**2)
     beta = brownian_half(dx, 1, rng)[0]
     current_logw = float(rn_log_weight(beta, u, v, dx))
-    inc = np.empty(len(beta) - 1)
-    xi, proposal = np.zeros_like(beta), np.empty_like(beta)
+    rows = min(NOISE_ROWS, cfg.chain_length)
+    inc, noise = np.empty((rows, len(beta) - 1)), np.zeros((rows, len(beta)))
+    proposal = np.empty_like(beta)
     accepted = 0
     beta_samples = np.empty((cfg.n_samples, len(beta)))
     logw_series = np.empty(cfg.chain_length)
-    for step in range(cfg.chain_length):
-        np.add.accumulate(_half_increments(rng, inc, dx), out=xi[1:])
-        np.multiply(root, beta, out=proposal)
-        xi *= cfg.rho
-        proposal += xi
-        proposal_logw = float(rn_log_weight(proposal, u, v, dx))
-        if np.log(rng.random()) < proposal_logw - current_logw:
-            beta, proposal = proposal, beta
-            current_logw = proposal_logw
-            accepted += 1
-        logw_series[step] = current_logw
-        kept, offset = divmod(step - cfg.burn_in, cfg.thinning)
-        if kept >= 0 and offset == 0:
-            beta_samples[kept] = beta
+    for start in range(0, cfg.chain_length, rows):
+        block = noise[: min(rows, cfg.chain_length - start)]
+        np.cumsum(_half_increments(rng, inc[: len(block)], dx), axis=1, out=block[:, 1:])
+        block *= cfg.rho
+        log_uniforms = np.log(accept_rng.random(len(block))).tolist()
+        for step, (xi, log_uniform) in enumerate(zip(block, log_uniforms), start):
+            np.multiply(root, beta, out=proposal)
+            proposal += xi
+            proposal_logw = float(rn_log_weight(proposal, u, v, dx))
+            if log_uniform < proposal_logw - current_logw:
+                beta, proposal = proposal, beta
+                current_logw = proposal_logw
+                accepted += 1
+            logw_series[step] = current_logw
+            kept, offset = divmod(step - cfg.burn_in, cfg.thinning)
+            if kept >= 0 and offset == 0:
+                beta_samples[kept] = beta
     w_fresh = brownian_half(dx, cfg.n_samples, rng)
     return McmcResult(
         samples=w_fresh + beta_samples,

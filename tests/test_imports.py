@@ -130,6 +130,7 @@ def test_detector_finds_an_uncalled_private_name():
 DEFERRED = {
     "openkpz.stationary": ("concurrent.futures", "scipy", "sympy"),
     "openkpz.harness": ("scipy.stats", "sympy"),
+    "openkpz.kernels": ("scipy.special", "sympy"),
     # exact coefficients are Poly values; sympy is only the tests' oracle
     "openkpz.treealg": ("sympy",),
     # so --help and a bad flag answer without loading them

@@ -84,6 +84,43 @@ class TestRnWeight:
         assert np.asarray(rn_log_weight(beta, u, v, dx)).tobytes() == want.tobytes()
 
 
+def _one_step_at_a_time(u, v, cfg, dx):
+    """The pCN chain's reference: each step draws its proposal's normals on the
+    seed's generator and one uniform on its spawned child, and weighs the proposal once."""
+    n = round(1 / dx)
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
+    accept = rng.spawn(1)[0]
+
+    def brownian_half(rows):
+        out = np.zeros((rows, n + 1))
+        out[:, 1:] = np.cumsum(rng.standard_normal((rows, n)) * np.sqrt(dx / 2.0), axis=1)
+        return out
+
+    beta = brownian_half(1)[0]
+    logw = float(stationary.rn_log_weight(beta, u, v, dx))
+    accepted, series, kept = 0, [], []
+    for step in range(cfg.chain_length):
+        xi = np.zeros(n + 1)
+        xi[1:] = np.cumsum(rng.standard_normal(n) * np.sqrt(dx / 2.0)) * cfg.rho
+        proposal = np.sqrt(1.0 - cfg.rho**2) * beta + xi
+        proposal_logw = float(stationary.rn_log_weight(proposal, u, v, dx))
+        if np.log(accept.random()) < proposal_logw - logw:
+            beta, logw = proposal, proposal_logw
+            accepted += 1
+        series.append(logw)
+        if step >= cfg.burn_in and (step - cfg.burn_in) % cfg.thinning == 0:
+            kept.append(beta)
+    beta_samples = np.array(kept)
+    return McmcResult(brownian_half(cfg.n_samples) + beta_samples, beta_samples,
+                      accepted / cfg.chain_length,
+                      stationary._integrated_autocorr(np.array(series[cfg.burn_in:])), cfg)
+
+
+def _chain_digests(res):
+    return tuple(hashlib.sha256(np.float64(getattr(res, name)).tobytes()).hexdigest()
+                 for name in ("samples", "beta_samples", "acceptance_rate", "autocorr_time"))
+
+
 class TestMcmc:
     def test_zero_exponents_reference_covariance(self, monkeypatch):
         # With the density switched off the chain targets the variance-1/2
@@ -112,28 +149,45 @@ class TestMcmc:
         assert np.array_equal(a.samples, b.samples)
 
     # SHA-256 of samples, beta_samples, acceptance_rate and autocorr_time as
-    # float64 bytes (numpy 2.4, x86-64): a rewrite of the pCN loop must keep
-    # every bit of the chain.
+    # float64 bytes, as _one_step_at_a_time gave them (numpy 2.4, x86-64): block
+    # draws of the proposal noise and of the uniforms must give every bit.
     PINNED = {
-        False: ("e3853b6f24db872843495d159d00d13215ada4e6529aa49d3f404a9c999d3a15",
-                "ea1d91316a0f9c2761a14086e5eae5e7902b37476a77dcac0c7650fe3596b179",
-                "9cbeaa765aa89186e2215f9650070fa455fc2d9df59d0fcfb5523755711a5f4d",
-                "9a58926d54bb6224b0cd53abcc9d9b06aba9fa388ac0e2ac4180e6a2afb4c098"),
-        True: ("edcb46cc00dbeaec27faaa3db1bdd38cf14c604abf74dbb1c15d748583f4922f",
-               "4588b0765edc2a7b871ee6aa1ca2b388d695fc8dad1fdc19614114cfed93b81a",
+        False: ("f48d1fbe0e87a81b2eefd599b605b22e8c6fcb3818ed4d65056c2f838504a3b7",
+                "dc58301bb89105acbc662a740f1af0c3d14bd64cc8cdb9e4c1c6b1bd8daa9048",
+                "d8d497b673471bcf510d317959b955b2d159030b99575a21d1235be8ba44c15c",
+                "4aa02550be61c8d7a2bd4d222cb3eac4df659d07c07d8f9c550631ecc5e6615c"),
+        True: ("b76847c321696c189f426d50f3a7022e9c6cef632f4c7013a018283789034987",
+               "227fff58e3f32db5d928fd2f50bc9f882b37b6f7eeea1a0a89f738effa25b0c5",
                "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
                "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712"),
     }
+    CHAIN = McmcConfig(rho=0.5, burn_in=100, thinning=2, n_samples=50, seed=9)
 
     @pytest.mark.parametrize("zero_exponents", [False, True])
     def test_chain_bytes_pinned(self, zero_exponents, monkeypatch):
         if zero_exponents:
             monkeypatch.setattr(stationary, "rn_log_weight", lambda beta, u, v, dx: 0.0)
-        cfg = McmcConfig(rho=0.5, burn_in=100, thinning=2, n_samples=50, seed=9)
-        res = sample_stationary_mcmc(1.0, 1.0, cfg, dx=1.0 / 16)
-        got = tuple(hashlib.sha256(np.float64(getattr(res, name)).tobytes()).hexdigest()
-                    for name in ("samples", "beta_samples", "acceptance_rate", "autocorr_time"))
-        assert got == self.PINNED[zero_exponents]
+        res = sample_stationary_mcmc(1.0, 1.0, self.CHAIN, dx=1.0 / 16)
+        assert _chain_digests(res) == self.PINNED[zero_exponents]
+
+    @pytest.mark.parametrize("zero_exponents", [False, True])
+    @pytest.mark.parametrize("u, v, dx, cfg", [
+        (1.0, 1.0, 1.0 / 16, CHAIN),
+        # 550 steps: two full noise blocks and a partial one
+        (2.0, -0.5, 1.0 / 32, McmcConfig(rho=0.3, burn_in=37, thinning=3, n_samples=171, seed=5)),
+    ], ids=["one-block", "three-blocks"])
+    def test_block_code_matches_one_step_at_a_time(self, u, v, dx, cfg, zero_exponents,
+                                                   monkeypatch):
+        if zero_exponents:
+            monkeypatch.setattr(stationary, "rn_log_weight", lambda beta, u, v, dx: 0.0)
+        want = _chain_digests(_one_step_at_a_time(u, v, cfg, dx))
+        assert _chain_digests(sample_stationary_mcmc(u, v, cfg, dx)) == want
+
+    @pytest.mark.parametrize("rows", [1, 7, CHAIN.chain_length + 1])
+    def test_no_bit_depends_on_noise_rows(self, rows, monkeypatch):
+        want = _chain_digests(sample_stationary_mcmc(1.0, 1.0, self.CHAIN, dx=1.0 / 16))
+        monkeypatch.setattr(stationary, "NOISE_ROWS", rows)
+        assert _chain_digests(sample_stationary_mcmc(1.0, 1.0, self.CHAIN, dx=1.0 / 16)) == want
 
     def test_regime_enforced(self):
         with pytest.raises(RegimeError):
