@@ -41,7 +41,7 @@ EXIT_NUMERICAL = 3
 # experiments have no defaults of their own: their only defaults are here.
 OPTIONS: Dict[str, Dict] = {
     "verify-algebra": {},
-    "kernel": {"kind": "neumann", "t": 0.1, "grid": 32, "images": 20, "u": 0.5, "v": 0.5},
+    "kernel": {"kind": "neumann", "t": 0.1, "grid": 32, "u": 0.5, "v": 0.5},
     "constant-a": {"time_radius": 1.0, "space_radius": 1.0, "cells": 256},
     "simulate": {
         "u": 0.0,
@@ -70,7 +70,7 @@ OPTIONS: Dict[str, Dict] = {
 # Per kernel kind and sampler: the options it reads, which with the seed are
 # all that its artifacts record; an option set for another variant is rejected.
 READS = {
-    "neumann": ("kind", "t", "grid", "images"),
+    "neumann": ("kind", "t", "grid"),
     "robin": ("kind", "t", "grid", "u", "v"),
     "gauss": ("kind", "t", "grid"),
     "brownian-with-drift": ("u", "v", "dx", "n_samples"),
@@ -190,7 +190,7 @@ def cmd_kernel(args) -> int:
     if kind == "gauss":
         values, ys, bound = kernels.gauss_kernel(t, xs)[:, None], [0.0], 0.0
     elif kind == "neumann":
-        values, bound = kernels.neumann_kernel(t, xs[:, None], xs[None, :], M=resolved["images"])
+        values, bound = kernels.neumann_kernel(t, xs[:, None], xs[None, :])
         ys = xs.tolist()
     else:
         values = kernels.robin_kernel(t, resolved["u"], resolved["v"], n=n)

@@ -39,6 +39,8 @@ def check_time(t) -> None:
 def step_count(t: float, dt: float) -> float:
     """t / dt, which may not exceed MAX_STEPS."""
     steps = t / dt
+    if math.isnan(steps):
+        raise ValueError(f"time must be a number (t={t}, dt={dt})")
     if steps > MAX_STEPS:
         raise ValueError(f"time {t} at dt={dt} takes {steps:.4g} steps > MAX_STEPS = {MAX_STEPS}")
     return steps

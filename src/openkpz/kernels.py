@@ -37,20 +37,24 @@ def neumann_tail_bound(t: float, M: int) -> float:
     return 2.0 * math.exp(-((2 * M - 2) ** 2) / (2.0 * t))
 
 
-def neumann_kernel(t, x, y, M: int = 20) -> Tuple[np.ndarray, float]:
+def neumann_kernel(t, x, y) -> Tuple[np.ndarray, float]:
     """Neumann heat kernel on [0,1] by the method of images.
 
-    Returns (value, tail_bound); the sum runs over images |m| <= M.
+    Returns (value, tail_bound); the sum runs over images |m| <= M, where
+    M = 1 + ceil(sqrt(373 t)) at the largest t puts the bound's exponent below
+    -746, so the bound is 0.0 and no image left out can change a bit.
     """
     check_time(t)
-    if M < 1:
-        raise ValueError(f"neumann_kernel needs M >= 1 images (M={M})")
+    t_max = float(np.max(t))
+    M = 1 + math.ceil(math.sqrt(373.0 * t_max))
+    if M > 10**4:
+        raise ValueError(f"the Neumann image sum at t={t_max} needs {M} > 10000 images")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     total = np.zeros(np.broadcast(x, y).shape, dtype=float)
     for m in range(-M, M + 1):
         total = total + gauss_kernel(t, x + y + 2 * m) + gauss_kernel(t, x - y + 2 * m)
-    return total, neumann_tail_bound(float(np.min(t)), M)
+    return total, neumann_tail_bound(t_max, M)
 
 
 def neumann_kernel_spectral(t, x, y) -> np.ndarray:

@@ -1,16 +1,20 @@
-"""Exact linear combinations of trees and tensor elements.
+"""Exact linear combinations: of trees, of tensor elements, and of monomials.
 
-Coefficients are ``Poly`` values: polynomials over Q, with ``Fraction``
-coefficients, in named scalar indeterminates.  A ``Poly`` is always in
-canonical form, and zero coefficients are pruned eagerly, so structural
-equality of the underlying dicts is exact equality of combinations.
+One class, ``_Combination``, holds a dict from canonical keys to nonzero exact
+coefficients, so structural equality of the dicts is exact equality of
+combinations.  ``Poly``, the coefficient ring, is itself a combination: of
+``PolyMonomial`` keys with ``Fraction`` coefficients, in named scalar
+indeterminates.  Trees and tensor elements take ``Poly`` coefficients.
 """
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
 from fractions import Fraction
 from itertools import chain
+from keyword import iskeyword
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 
 from openkpz.treealg.degree import ExactDegree
@@ -27,111 +31,169 @@ from openkpz.treealg.trees import (
 # A monomial of a Poly: (symbol name, positive exponent) pairs sorted by name.
 PolyMonomial = Tuple[Tuple[str, int], ...]
 
-_NAME = re.compile(r"[A-Za-z_]\w*")
-# What ``Poly.parse`` reads: integers, names and the operators ** + - * /.
-_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_]\w*|\*\*|[-+*/])")
+# The characters ``Poly.parse`` reads.  ``ast`` does not show brackets,
+# comments or line continuations, so they are refused before it runs.
+_ALPHABET = re.compile(r"[\w +\-*/]*", re.ASCII)
+# The operators it reads besides ``name**k`` and ``/ k``.
+_UNARY = {ast.USub: operator.neg, ast.UAdd: lambda p: p}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
 
 
-def _mono_mul(m1: PolyMonomial, m2: PolyMonomial) -> PolyMonomial:
-    if not m1 or not m2:
-        return m1 or m2
-    exps = dict(m1)
-    for name, e in m2:
+def _monomial(factors) -> PolyMonomial:
+    """(name, exponent) pairs in any order as a monomial: summed by name, zeros dropped."""
+    exps: Dict[str, int] = {}
+    for name, e in factors:
         exps[name] = exps.get(name, 0) + e
-    return tuple(sorted(exps.items()))
+    return tuple(sorted((name, e) for name, e in exps.items() if e))
 
 
-class Poly:
-    """Immutable, hashable polynomial over Q: a dict from ``PolyMonomial`` to a
-    nonzero ``Fraction``.
+class _Combination:
+    """Formal linear combination over canonical hashable keys with nonzero
+    exact coefficients.
+
+    Subclasses supply the key product ``_key_mul``; ``repr`` uses the sort key
+    ``_key_sort`` and the key repr ``_key_repr``.  ``_coeff`` reads a
+    coefficient (here: a ``Poly``, from a Poly, int or Fraction) and ``_lift``
+    reads the other operand of ``+``, ``-`` and ``mul`` (here: as it is).
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Mapping[Hashable, Poly] | Iterable[Tuple[Hashable, Poly]] = ()):
+        """Build from a mapping or from (key, coeff) pairs; repeated keys add up."""
+        pairs = terms.items() if isinstance(terms, Mapping) else terms
+        self.terms: Dict = self._of((key, self._coeff(coeff)) for key, coeff in pairs).terms
+
+    @classmethod
+    def _of(cls, pairs):
+        """From (key, coeff) pairs already canonical and exact: summed, zeros
+        dropped, and not validated again."""
+        summed: Dict = {}
+        for key, coeff in pairs:
+            summed[key] = summed[key] + coeff if key in summed else coeff
+        out = object.__new__(cls)
+        out.terms = {key: coeff for key, coeff in summed.items() if coeff}
+        return out
+
+    @staticmethod
+    def _coeff(value) -> Poly:
+        return Poly._lift(value)
+
+    @staticmethod
+    def _lift(other):
+        return other
+
+    def items(self) -> Iterable[Tuple[Hashable, Poly]]:
+        return self.terms.items()
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __add__(self, other):
+        return self._of(chain(self.items(), self._lift(other).items()))
+
+    def __neg__(self):
+        return self._of((k, -c) for k, c in self.items())
+
+    def __sub__(self, other):
+        return self + -self._lift(other)
+
+    def scale(self, scalar):
+        scalar = self._coeff(scalar)
+        return self._of((k, scalar * c) for k, c in self.items())
+
+    def mul(self, other):
+        """Bilinear extension of the key product."""
+        other = self._lift(other)
+        return self._of((self._key_mul(k1, k2), c1 * c2)
+                        for k1, c1 in self.items() for k2, c2 in other.items())
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        if not self.terms:
+            return "0"
+        parts = []
+        for key in sorted(self.terms, key=self._key_sort):
+            coeff = self.terms[key]
+            head = self._key_repr(key)
+            parts.append(head if coeff == 1 else f"({coeff})*{head}")
+        return " + ".join(parts)
+
+
+class Poly(_Combination):
+    """Immutable, hashable polynomial over Q: a combination of ``PolyMonomial``
+    keys with nonzero ``Fraction`` coefficients.
 
     It adds, subtracts and multiplies with other polys, ints and Fractions,
     divides only by a nonzero constant, compares equal to an int or Fraction
     when it is that constant, and prints as sympy prints the same polynomial.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[PolyMonomial, int | Fraction] = ()):
-        """From monomial -> coefficient; a monomial's pairs may come in any order."""
-        summed: Dict[PolyMonomial, Fraction] = {}
-        for mono, coeff in dict(terms).items():
-            if not isinstance(coeff, (int, Fraction)):
-                raise TypeError(f"{coeff!r} is not an exact coefficient (int or Fraction)")
-            exps: Dict[str, int] = {}
+        """From monomial -> coefficient; a monomial's pairs may come in any order,
+        and its names must be ones ``parse`` reads back: ASCII identifiers, no keyword."""
+        terms = dict(terms)
+        for mono in terms:
             for name, e in mono:
-                if not _NAME.fullmatch(name) or not isinstance(e, int) or e < 0:
+                readable = isinstance(name, str) and name.isascii() and name.isidentifier()
+                if not readable or iskeyword(name) or not isinstance(e, int) or e < 0:
                     raise ValueError(f"bad factor {name!r}**{e!r} in monomial {mono!r}")
-                exps[name] = exps.get(name, 0) + e
-            key = tuple(sorted((name, e) for name, e in exps.items() if e))
-            summed[key] = summed.get(key, 0) + Fraction(coeff)
-        self._terms = {mono: coeff for mono, coeff in summed.items() if coeff}
+        super().__init__((_monomial(mono), coeff) for mono, coeff in terms.items())
+
+    @staticmethod
+    def _key_mul(m1: PolyMonomial, m2: PolyMonomial) -> PolyMonomial:
+        return _monomial(m1 + m2) if m1 and m2 else m1 or m2
+
+    @staticmethod
+    def _coeff(value) -> Fraction:
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"{value!r} is not an exact coefficient (int or Fraction)")
+        return Fraction(value)
 
     @classmethod
-    def _canonical(cls, terms: Dict[PolyMonomial, Fraction]) -> "Poly":
-        """A poly on ``terms``, whose monomials are canonical; zeros are dropped."""
-        out = object.__new__(cls)
-        out._terms = {mono: coeff for mono, coeff in terms.items() if coeff}
-        return out
+    def _lift(cls, value) -> "Poly":
+        return value if isinstance(value, Poly) else cls.const(value)
 
     @classmethod
     def const(cls, value: int | Fraction) -> "Poly":
-        return cls._canonical({(): Fraction(value)})
+        return cls._of([((), cls._coeff(value))])
 
     @classmethod
     def symbol(cls, name: str) -> "Poly":
         return cls({((name, 1),): 1})
 
-    def items(self) -> Iterable[Tuple[PolyMonomial, Fraction]]:
-        return self._terms.items()
-
     def _constant(self) -> Optional[Fraction]:
         """The value of a constant poly (0 included), else None."""
-        if not self._terms.keys() - {()}:
-            return self._terms.get((), Fraction(0))
+        if not self.terms.keys() - {()}:
+            return self.terms.get((), Fraction(0))
         return None
 
-    def __add__(self, other) -> "Poly":
-        terms = dict(self._terms)
-        for mono, coeff in _as_coeff(other).items():
-            terms[mono] = terms.get(mono, 0) + coeff
-        return Poly._canonical(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Poly":
-        return Poly._canonical({mono: -coeff for mono, coeff in self.items()})
-
-    def __sub__(self, other) -> "Poly":
-        return self + -_as_coeff(other)
+    __radd__ = _Combination.__add__
+    __mul__ = __rmul__ = _Combination.mul
 
     def __rsub__(self, other) -> "Poly":
-        return _as_coeff(other) + -self
-
-    def __mul__(self, other) -> "Poly":
-        terms: Dict[PolyMonomial, Fraction] = {}
-        for m2, c2 in _as_coeff(other).items():
-            for m1, c1 in self.items():
-                mono = _mono_mul(m1, m2)
-                terms[mono] = terms.get(mono, 0) + c1 * c2
-        return Poly._canonical(terms)
-
-    __rmul__ = __mul__
+        return -self + other
 
     def __truediv__(self, other) -> "Poly":
-        divisor = _as_coeff(other)._constant()
+        divisor = self._lift(other)._constant()
         if divisor is None:
             raise ValueError(f"cannot divide {self} by {other}: not a constant")
         if not divisor:
             raise ZeroDivisionError(f"cannot divide {self} by {other}")
-        return Poly._canonical({mono: coeff / divisor for mono, coeff in self.items()})
+        return self._of((mono, coeff / divisor) for mono, coeff in self.items())
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             return self._constant() == other
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self._terms == other._terms
+        return super().__eq__(other)
 
     def __hash__(self) -> int:
         constant = self._constant()  # equal to an int or Fraction: hash as one
@@ -141,10 +203,10 @@ class Poly:
         """Substitute values for symbols, given by name, all at once."""
         if bad := [name for name in mapping if not isinstance(name, str)]:
             raise TypeError(f"substitute for symbol names, not {bad[0]!r}")
-        values = {name: _as_coeff(value) for name, value in mapping.items()}
+        values = {name: self._lift(value) for name, value in mapping.items()}
         out = Poly()
         for mono, coeff in self.items():
-            term = Poly._canonical({tuple(f for f in mono if f[0] not in values): coeff})
+            term = Poly._of([(tuple(f for f in mono if f[0] not in values), coeff)])
             for name, e in mono:
                 for _ in range(e if name in values else 0):
                     term = term * values[name]
@@ -154,61 +216,54 @@ class Poly:
     @classmethod
     def parse(cls, text: str) -> "Poly":
         """Read a poly written as ``str`` writes one or as the golden tables do
-        (``d+a*g``, ``-2*C0``, ``C2/4``): signed terms, each a product of
-        integers and ``name`` or ``name**k`` factors, divided by integers.
-        Any other text is a ValueError naming it."""
-        tokens = _TOKEN.findall(text)[::-1]  # read by popping from the end
-        if "".join(reversed(tokens)) != "".join(text.split()):
-            raise ValueError(f"malformed coefficient {text!r}: unknown character")
+        (``d+a*g``, ``-2*C0``, ``C2/4``), in Python's syntax: decimal integers,
+        names, ``name**k``, unary ``-`` and ``+``, ``+ - *``, and ``/`` by a
+        nonzero integer.  Any other text is a ValueError naming it."""
+        source = text.strip()
 
-        def peek() -> str:
-            return tokens[-1] if tokens else ""
+        def integer(node) -> Optional[int]:
+            """The value of a decimal integer literal, else None."""
+            if isinstance(node, ast.Constant) and type(node.value) is int:
+                if ast.get_source_segment(source, node).isdigit():
+                    return node.value
+            return None
 
-        def take(*allowed: str) -> str:
-            """The next token, one of ``allowed`` ("int" or "name" for any such)."""
-            token = tokens.pop() if tokens else ""
-            kind = "int" if token.isdigit() else "name" if _NAME.fullmatch(token) else token
-            if kind not in allowed:
-                raise ValueError(
-                    f"malformed coefficient {text!r}: unexpected {token or 'end of text'!r}")
-            return token
+        def read(node) -> Poly:
+            if (value := integer(node)) is not None:
+                return cls.const(value)
+            if isinstance(node, ast.Name):  # the alphabet leaves only readable names
+                return cls.symbol(node.id)
+            if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+                return _UNARY[type(node.op)](read(node.operand))
+            if isinstance(node, ast.BinOp):
+                op, k = type(node.op), integer(node.right)
+                if op is ast.Pow and isinstance(node.left, ast.Name) and k is not None:
+                    return cls({((node.left.id, k),): 1})
+                if op is ast.Div and k:
+                    return read(node.left) / k
+                if op in _BINARY:
+                    return _BINARY[op](read(node.left), read(node.right))
+            raise ValueError(f"malformed coefficient {text!r}")
 
-        total = cls()
-        sign = take("+", "-") if peek() in ("+", "-") else "+"
-        while True:
-            term, op = cls.const(1), "*"
-            while op:
-                token = take("int", "name") if op == "*" else take("int")
-                if op == "/":
-                    if not int(token):
-                        raise ValueError(f"malformed coefficient {text!r}: division by zero")
-                    term = term / int(token)
-                elif token.isdigit():
-                    term = term * int(token)
-                elif peek() == "**":
-                    take("**")
-                    term = term * cls({((token, int(take("int"))),): 1})
-                else:
-                    term = term * cls.symbol(token)
-                op = take("*", "/") if peek() in ("*", "/") else ""
-            total = total + term if sign == "+" else total - term
-            if not tokens:
-                return total
-            sign = take("+", "-")
+        try:
+            body = ast.parse(source, mode="eval").body if _ALPHABET.fullmatch(source) else None
+        except SyntaxError:
+            body = None
+        return read(body)
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self.terms:
             return "0"
         # sympy's order: lex-descending exponents over the names in ASCII order
-        names = sorted({name for mono in self._terms for name, _ in mono})
+        names = sorted({name for mono in self.terms for name, _ in mono})
 
         def exponents(mono: PolyMonomial):
             exps = dict(mono)
             return tuple(exps.get(name, 0) for name in names)
 
         parts: List[str] = []
-        for mono in sorted(self._terms, key=exponents, reverse=True):
-            coeff = self._terms[mono]
+        for mono in sorted(self.terms, key=exponents, reverse=True):
+            coeff = self.terms[mono]
             factors = [name if e == 1 else f"{name}**{e}" for name, e in mono]
             if abs(coeff.numerator) != 1 or not factors:
                 factors.insert(0, str(abs(coeff.numerator)))
@@ -222,13 +277,7 @@ class Poly:
     __repr__ = __str__
 
 
-def _as_coeff(value) -> Poly:
-    if isinstance(value, Poly):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Poly.const(value)
-    raise TypeError(f"{value!r} is not an exact coefficient (Poly, int or Fraction)")
-
+_as_coeff = Poly._lift
 
 # The fixed indeterminates used across the package.
 SYMBOLS: Dict[str, Poly] = {
@@ -239,66 +288,6 @@ SYMBOLS: Dict[str, Poly] = {
         "wtilde", "a10", "a11",
     )
 }
-
-
-class _Combination:
-    """Formal linear combination over hashable keys with exact coefficients.
-
-    Subclasses supply the key product ``_key_mul``, the sort key ``_key_sort``
-    and the key repr ``_key_repr``.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(
-        self,
-        terms: Mapping[Hashable, Poly] | Iterable[Tuple[Hashable, Poly]] = (),
-    ):
-        """Build from a mapping or from (key, coeff) pairs; repeated keys add up."""
-        pairs = terms.items() if isinstance(terms, Mapping) else terms
-        summed: Dict[Hashable, Poly] = {}
-        for key, coeff in pairs:
-            coeff = _as_coeff(coeff)
-            summed[key] = summed[key] + coeff if key in summed else coeff
-        self.terms: Dict[Hashable, Poly] = {k: c for k, c in summed.items() if c != 0}
-
-    def items(self) -> Iterable[Tuple[Hashable, Poly]]:
-        return self.terms.items()
-
-    def __add__(self, other):
-        return type(self)(chain(self.items(), other.items()))
-
-    def __sub__(self, other):
-        return type(self)(chain(self.items(), ((k, -c) for k, c in other.items())))
-
-    def scale(self, scalar):
-        scalar = _as_coeff(scalar)
-        return type(self)((k, scalar * c) for k, c in self.items())
-
-    def mul(self, other):
-        """Bilinear extension of the key product."""
-        return type(self)(
-            (self._key_mul(k1, k2), c1 * c2)
-            for k1, c1 in self.items()
-            for k2, c2 in other.items()
-        )
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return not (self - other).terms
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in sorted(self.terms, key=self._key_sort):
-            coeff = self.terms[key]
-            head = self._key_repr(key)
-            parts.append(head if coeff == 1 else f"({coeff})*{head}")
-        return " + ".join(parts)
 
 
 class TreeCombination(_Combination):

@@ -1,15 +1,15 @@
-"""Exact degrees of the form q + r*kappa with q, r rational.
+"""Exact degrees of the form q + r*kappa with q, r rational (int or Fraction).
 
 kappa is the small regularity-loss parameter; it is constrained to the open
 interval (0, 1/10).  Degrees are compared by substituting kappa at both ends
 of a probe pair inside that interval; if the two substitutions disagree in
 sign the comparison is ambiguous and an error is raised (this never happens
-for the degrees generated by the basis trees).
+for the degrees generated by the basis trees).  A degree is written, and read
+by ``degree_from_string``, as a polynomial in ``k`` of degree at most one.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import total_ordering
 from fractions import Fraction
@@ -31,8 +31,11 @@ class ExactDegree:
     kappa: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rational", Fraction(self.rational))
-        object.__setattr__(self, "kappa", Fraction(self.kappa))
+        for part in ("rational", "kappa"):  # a float is not the decimal it was written as
+            value = getattr(self, part)
+            if not isinstance(value, (int, Fraction)):
+                raise TypeError(f"{value!r} is not an exact degree part (int or Fraction)")
+            object.__setattr__(self, part, Fraction(value))
 
     def __add__(self, other: "ExactDegree") -> "ExactDegree":
         return ExactDegree(self.rational + other.rational, self.kappa + other.kappa)
@@ -41,7 +44,6 @@ class ExactDegree:
         return ExactDegree(self.rational - other.rational, self.kappa - other.kappa)
 
     def __mul__(self, scalar: RationalLike) -> "ExactDegree":
-        scalar = Fraction(scalar)
         return ExactDegree(self.rational * scalar, self.kappa * scalar)
 
     def at(self, kappa_value: Fraction) -> Fraction:
@@ -71,16 +73,15 @@ class ExactDegree:
         return f"{self.rational}{'' if k[0] == '-' else '+'}{k}"
 
 
-# [q][±[r*]k]: a sign is required before the kappa term when q is present
-_DEGREE = re.compile(r"(?P<q>[+-]?[\d/]+)?(?P<k>(?(q)[+-]|[+-]?)(?:[\d/]+\*)?k)?")
-
-
 def degree_from_string(text: str) -> ExactDegree:
-    """Parse strings like ``-3/2-k``, ``1``, ``-2*k``, ``3/2-3*k``."""
-    match = _DEGREE.fullmatch(text.replace(" ", ""))
-    if match is None or not text.strip():
-        raise ValueError(f"cannot read {text!r} as a degree")
-    r = (match["k"] or "0").rstrip("k*")
-    if r in ("", "+", "-"):
-        r += "1"
-    return ExactDegree(Fraction(match["q"] or 0), Fraction(r))
+    """Read ``-3/2-k``, ``1``, ``-2*k``, ``3/2-3*k``: ``Poly.parse``'s language,
+    with no monomial but ``1`` and ``k``."""
+    from openkpz.treealg.combination import Poly  # which imports this module
+
+    try:
+        terms = Poly.parse(text).terms
+        if terms.keys() <= {(), (("k", 1),)}:
+            return ExactDegree(terms.get((), 0), terms.get((("k", 1),), 0))
+    except ValueError:
+        pass
+    raise ValueError(f"cannot read {text!r} as a degree")

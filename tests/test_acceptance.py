@@ -139,7 +139,7 @@ class TestKernels:
         worst = 0.0
         worst_mass = 0.0
         for t in (0.05, 0.1, 0.5, 1.0):
-            img, tail = kernels.neumann_kernel(t, xs[:, None], xs[None, :], M=20)
+            img, tail = kernels.neumann_kernel(t, xs[:, None], xs[None, :])
             spec = kernels.neumann_kernel_spectral(t, xs[:, None], xs[None, :])
             worst = max(worst, float(np.max(np.abs(img - spec))))
             worst_mass = max(
@@ -158,7 +158,7 @@ class TestKernels:
         n, t = 256, 0.1
         xs = np.linspace(0.0, 1.0, n + 1)
         robin = kernels.robin_kernel(t, 0.5, 0.5, n=n)
-        neu, _ = kernels.neumann_kernel(t, xs[:, None], xs[None, :], M=20)
+        neu, _ = kernels.neumann_kernel(t, xs[:, None], xs[None, :])
         err = float(np.max(np.abs(robin - neu)))
         ok = err < TOL["robin_reduction"]
         report(6, "Robin kernel at u=v=1/2 reduces to the Neumann kernel",

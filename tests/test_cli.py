@@ -299,8 +299,8 @@ class TestDegenerateInput:
         (["simulate", "--t-final", "inf"], "positive and finite (t=inf)"),
         (["simulate", "--save-times", -0.5], "positive and finite (t=-0.5)"),
         (["experiment", "coupling", "--t-final", -1], "positive and finite (t=-1.0)"),
-        (["kernel", "--kind", "gauss", "--grid", 4, "--images", 5],
-         "the gauss variant does not read 'images'"),
+        (["kernel", "--kind", "gauss", "--grid", 4, "--u", 0.5],
+         "the gauss variant does not read 'u'"),
         (["sample-stationary", "--u", 0.5, "--v", -0.5, "--dx", 0.25, "--n-samples", 5,
           "--rho", 0.9], "the brownian-with-drift variant does not read 'rho'"),
         (["kernel", "--kind", "gauss", "--t", -1, "--grid", 2], "positive and finite (t=-1.0)"),
@@ -322,7 +322,7 @@ class TestDegenerateInput:
         (["constant-a", "--time-radius", "nan"], "positive and finite (time_radius=nan)"),
         (["constant-a", "--space-radius", "inf"], "positive and finite (space_radius=inf)"),
         (["constant-a", "--space-radius", "nan"], "positive and finite (space_radius=nan)"),
-        (["kernel", "--kind", "neumann", "--images", 0], "M >= 1 images (M=0)"),
+        (["kernel", "--kind", "neumann", "--t", 1e6], "at t=1000000.0 needs 19315 > 10000 images"),
         (["sample-stationary", "--u", 1, "--v", 1, "--rho", 1.5], "(0, 1) (rho=1.5)"),
         (["sample-stationary", "--u", 1, "--v", 1, "--burn-in", -1],
          "burn_in must be at least 0 (burn_in=-1)"),
@@ -342,12 +342,12 @@ class TestDegenerateInput:
             "bm-drift-n-samples-0", "robin-u-nan", "simulate-u-nan", "coupling-u-nan",
             "neumann-grid-0", "gauss-grid-negative", "neumann-grid-negative",
             "simulate-t-final-negative", "simulate-t-final-0", "simulate-t-final-inf",
-            "simulate-save-time-negative", "coupling-t-final-negative", "gauss-images",
+            "simulate-save-time-negative", "coupling-t-final-negative", "gauss-u",
             "bm-drift-rho", "gauss-t-negative", "gauss-t-nan", "gauss-t-inf", "neumann-t-0",
             "neumann-t-nan", "neumann-t-inf", "robin-t-negative", "robin-t-nan", "robin-t-inf",
             "robin-t-overflows-step-count", "simulate-t-final-above-step-bound",
             "simulate-paths-1", "constant-a-time-radius-inf", "constant-a-time-radius-nan",
-            "constant-a-space-radius-inf", "constant-a-space-radius-nan", "neumann-images-0",
+            "constant-a-space-radius-inf", "constant-a-space-radius-nan", "neumann-t-too-long",
             "pcn-rho-1.5", "pcn-burn-in-negative", "pcn-thinning-0", "pcn-n-samples-0",
             "simulate-save-times-abc", "simulate-save-times-second-entry", "simulate-dx-abc",
             "simulate-paths-1.5", "kernel-kind-cauchy", "seed-x"])
@@ -487,7 +487,7 @@ class TestCsvBytes:
     def test_kernel(self, tmp_path, kind):
         from openkpz import kernels
 
-        flags = {"neumann": ["--images", 5], "robin": ["--u", 1.5, "--v", -0.25], "gauss": []}
+        flags = {"neumann": [], "robin": ["--u", 1.5, "--v", -0.25], "gauss": []}
         assert run(["--out-dir", tmp_path, "kernel", "--kind", kind, "--grid", 8,
                     "--t", 0.05, *flags[kind]]) == 0
         t, xs = 0.05, np.linspace(0.0, 1.0, 9)
@@ -495,7 +495,7 @@ class TestCsvBytes:
             rows = [(t, x, 0.0, float(kernels.gauss_kernel(t, x)), 0.0) for x in xs]
         else:
             if kind == "neumann":
-                values, bound = kernels.neumann_kernel(t, xs[:, None], xs[None, :], M=5)
+                values, bound = kernels.neumann_kernel(t, xs[:, None], xs[None, :])
             else:
                 values, bound = kernels.robin_kernel(t, 1.5, -0.25, n=8), ""
             rows = [(t, x, y, values[i, j], bound)
@@ -559,7 +559,7 @@ class TestCsvBytes:
 class TestOptionsRead:
     @pytest.mark.parametrize("argv, artifact, reads", [
         (["kernel", "--kind", "neumann", "--grid", 4], "kernel_neumann",
-         {"kind", "t", "grid", "images"}),
+         {"kind", "t", "grid"}),
         (["kernel", "--kind", "robin", "--grid", 4], "kernel_robin",
          {"kind", "t", "grid", "u", "v"}),
         (["kernel", "--kind", "gauss", "--grid", 4], "kernel_gauss", {"kind", "t", "grid"}),
@@ -588,9 +588,9 @@ class TestOptionsRead:
 
     def test_ini_key_only_another_kind_reads_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
-        cfg.write_text("[kernel]\nkind = robin\nimages = 5\nt = 0.2\n")
+        cfg.write_text("[kernel]\nkind = gauss\nu = 0.5\nt = 0.2\n")
         assert run(["--config", cfg, "--out-dir", tmp_path / "out", "kernel"]) == 2
-        assert "the robin variant does not read 'images'" in capsys.readouterr().err
+        assert "the gauss variant does not read 'u'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_ini_key_the_experiment_does_not_read_exits_2(self, tmp_path, capsys):

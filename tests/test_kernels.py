@@ -52,6 +52,21 @@ class TestNeumann:
         with pytest.raises(ValueError, match=r"positive and finite \(t=\[ 0.05 -0.2 \]\)"):
             kernels.neumann_kernel(np.array([0.05, -0.2]), 0.3, 0.1)
 
+    def test_image_count_follows_the_largest_horizon(self):
+        # 20 images, the old fixed count, left the t = 100 row 4.4e-5 off
+        xs = np.linspace(0, 1, 33)
+        img, tail = kernels.neumann_kernel(np.array([[0.1], [100.0]]), 0.3, xs)
+        assert np.max(np.abs(img[1] - kernels.neumann_kernel_spectral(100.0, 0.3, xs))) < 1e-14
+        assert tail == 0.0
+
+    @pytest.mark.parametrize("t", [1e-3, 0.1, 1.0, 2.0, 100.0, 1e4])
+    def test_tail_bound_underflows_to_zero(self, t):
+        assert kernels.neumann_kernel(t, 0.3, 0.1)[1] == 0.0
+
+    def test_horizon_needing_over_ten_thousand_images_named(self):
+        with pytest.raises(ValueError, match=r"at t=300000\.0 needs 10580 > 10000 images"):
+            kernels.neumann_kernel(np.array([0.1, 3e5]), 0.3, 0.1)
+
     @pytest.mark.parametrize("t", [-0.1, 0.0, np.inf, np.nan])
     def test_spectral_series_rejects_a_horizon_that_is_not_positive_and_finite(self, t):
         with pytest.raises(ValueError, match=rf"positive and finite \(t={t}\)"):
@@ -75,7 +90,7 @@ class TestRobin:
         errors = []
         for n in (32, 64, 128, 256):
             xs = np.linspace(0, 1, n + 1)
-            neu, _ = kernels.neumann_kernel(0.1, xs[:, None], xs[None, :], M=20)
+            neu, _ = kernels.neumann_kernel(0.1, xs[:, None], xs[None, :])
             errors.append(np.max(np.abs(kernels.robin_kernel(0.1, 0.5, 0.5, n=n) - neu)))
         orders = np.log2(np.array(errors[:-1]) / errors[1:])
         assert np.all(orders >= 1.75), (errors, orders)

@@ -1,5 +1,6 @@
 """Property tests of the exact coefficient ring ``Poly``, with sympy as the oracle."""
 
+import keyword
 import re
 from fractions import Fraction
 
@@ -93,10 +94,30 @@ def test_golden_table_syntax(text, written):
 
 
 @pytest.mark.parametrize("text", ["2*", "a/0", "a/b", "C0 +", "", "a$b", "a**-1", "2 3",
-                                  "a**b", "(a)", "a 10"])
+                                  "a**b", "(a)", "a 10",
+                                  "0x1F", "1_0", "1e3", "a # b", "a//2", "None", "True",
+                                  "2**3", "a**2**2", "a/-2"])
 def test_malformed_coefficient_names_the_text(text):
     with pytest.raises(ValueError, match=re.escape(f"malformed coefficient {text!r}")):
         Poly.parse(text)
+
+
+@LAWS
+@given(st.from_regex(r"\w+", fullmatch=True) | st.sampled_from(keyword.kwlist
+                                                               + keyword.softkwlist))
+def test_the_constructor_takes_only_names_parse_reads_back(name):
+    try:
+        p = Poly({((name, 2),): Fraction(-3, 2), ((name, 1), ("a", 1)): 1})
+    except ValueError as exc:
+        assert f"bad factor {name!r}**" in str(exc)
+        return
+    assert Poly.parse(str(p)) == p
+
+
+@pytest.mark.parametrize("name", ["None", "True", "lambda", "é", "a b", "", "1a", "a-b"])
+def test_a_name_parse_cannot_read_back_is_rejected(name):
+    with pytest.raises(ValueError, match=re.escape(f"bad factor {name!r}**1")):
+        Poly.symbol(name)
 
 
 @pytest.mark.parametrize("divisor, error", [

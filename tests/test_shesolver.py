@@ -61,6 +61,13 @@ class TestConfig:
                 with pytest.raises(ValueError, match=message.replace("+", r"\+")):
                     call(t, 0.03125)
 
+    def test_nan_save_time_or_horizon_named(self):
+        cfg = SimConfig(dx=0.25, t_final=1.0, n_paths=2, save_times=(0.5, float("nan")))
+        with pytest.raises(ValueError, match=r"time must be a number \(t=nan, dt=0\.03125\)"):
+            cfg.save_step_indices()
+        with pytest.raises(ValueError, match=r"time must be a number \(t=nan"):
+            time_steps(float("nan"), 0.03125)
+
     @pytest.mark.parametrize("t_final", [0.0, -1.0, float("nan"), float("inf")])
     def test_horizon_that_is_not_positive_and_finite_rejected(self, t_final):
         with pytest.raises(ValueError, match=rf"positive and finite \(t={t_final}\)"):

@@ -61,6 +61,14 @@ class TestDegrees:
         assert (d + e).rational == Fraction(-1, 2)
         assert (d + e).kappa == Fraction(-1)
 
+    def test_inexact_components_rejected(self):
+        # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+        for make in (lambda: ExactDegree(0.1), lambda: ExactDegree(1, 0.1),
+                     lambda: ExactDegree(1, 1) * 0.1):
+            with pytest.raises(TypeError, match=r"0\.1 is not an exact"):
+                make()
+        assert ExactDegree(Fraction(1, 2), 1) * 2 == ExactDegree(1, 2)
+
     def test_comparisons_hold_for_small_kappa(self):
         # -3/2 - kappa < -3/2 < -3/2 + kappa for every small kappa > 0
         lo = ExactDegree(Fraction(-3, 2), Fraction(-1))

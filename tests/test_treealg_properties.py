@@ -1,5 +1,6 @@
 """Property tests for the tree algebra: combination laws, degrees and the text syntax."""
 
+import re
 from fractions import Fraction
 from functools import reduce
 from operator import add
@@ -158,6 +159,12 @@ fractions = st.sampled_from([-1, 0, 1]).map(Fraction) | st.fractions(
 def test_degrees_read_back(q, r):
     degree = ExactDegree(q, r)
     assert degree_from_string(str(degree)) == degree
+
+
+@pytest.mark.parametrize("text", ["1/0", "1//2", "/", "k*k", "a", "", "k**2", "0.5", "(1)"])
+def test_text_that_is_no_degree_is_named(text):
+    with pytest.raises(ValueError, match=re.escape(f"cannot read {text!r} as a degree")):
+        degree_from_string(text)
 
 
 @pytest.mark.parametrize(
