@@ -20,7 +20,6 @@ from scipy.sparse.linalg import splu
 
 from openkpz.grid import check_time, step_count
 
-SPECTRAL_MODES = 200  # eigenmodes in the spectral Neumann oracle
 RANNACHER_STEPS = 2  # CN steps replaced by implicit-Euler half-step pairs
 
 
@@ -58,12 +57,15 @@ def neumann_kernel(t, x, y) -> Tuple[np.ndarray, float]:
 
 
 def neumann_kernel_spectral(t, x, y) -> np.ndarray:
-    """Eigenfunction-expansion oracle: 1 + 2 sum e^{-k^2 pi^2 t/2} cos cos, for t > 0."""
+    """Eigenfunction-expansion oracle: 1 + 2 sum e^{-k^2 pi^2 t/2} cos cos, for t > 0,
+    summed until the factor e^{-k^2 pi^2 t/2} underflows to 0.0, at most 10^4 modes."""
     check_time(t)
+    if math.exp(-(10**4 + 1) ** 2 * math.pi * math.pi * t / 2.0) != 0.0:
+        raise ValueError(f"the Neumann eigenfunction sum at t={t} needs over 10000 modes")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     total = np.ones(np.broadcast(x, y).shape, dtype=float)
-    for k in range(1, SPECTRAL_MODES + 1):
+    for k in range(1, 10**4 + 2):  # the factor is 0.0 at k = 10^4 + 1
         lam = math.exp(-(k * k) * math.pi * math.pi * t / 2.0)
         if lam == 0.0:
             break

@@ -17,6 +17,7 @@ from itertools import chain
 from keyword import iskeyword
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 
+from openkpz.treealg.basis import _split_top, format_tree, parse_tree
 from openkpz.treealg.degree import ExactDegree
 from openkpz.treealg.trees import (
     Integ,
@@ -34,9 +35,9 @@ PolyMonomial = Tuple[Tuple[str, int], ...]
 # The characters ``Poly.parse`` reads.  ``ast`` does not show brackets,
 # comments or line continuations, so they are refused before it runs.
 _ALPHABET = re.compile(r"[\w +\-*/]*", re.ASCII)
-# The operators it reads besides ``name**k`` and ``/ k``.
+# The operators it reads besides ``name**k``, ``/ k`` and ``*``.
 _UNARY = {ast.USub: operator.neg, ast.UAdd: lambda p: p}
-_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
+_SIGNS = {ast.Add: 1, ast.Sub: -1}
 
 
 def _monomial(factors) -> PolyMonomial:
@@ -52,9 +53,10 @@ class _Combination:
     exact coefficients.
 
     Subclasses supply the key product ``_key_mul``; ``repr`` uses the sort key
-    ``_key_sort`` and the key repr ``_key_repr``.  ``_coeff`` reads a
-    coefficient (here: a ``Poly``, from a Poly, int or Fraction) and ``_lift``
-    reads the other operand of ``+``, ``-`` and ``mul`` (here: as it is).
+    ``_key_sort`` and the key writer ``_key_repr``, and ``parse`` reads a key
+    back with ``_key_parse``.  ``_coeff`` reads a coefficient (here: a
+    ``Poly``, from a Poly, int or Fraction) and ``_lift`` reads the other
+    operand of ``+``, ``-`` and ``mul`` (here: as it is).
     """
 
     __slots__ = ("terms",)
@@ -116,14 +118,27 @@ class _Combination:
     __hash__ = None
 
     def __repr__(self) -> str:
+        """Terms ``(coeff) key``, or ``key`` for the coefficient 1, joined by ``+``."""
         if not self.terms:
             return "0"
         parts = []
         for key in sorted(self.terms, key=self._key_sort):
             coeff = self.terms[key]
             head = self._key_repr(key)
-            parts.append(head if coeff == 1 else f"({coeff})*{head}")
+            parts.append(head if coeff == 1 else f"({coeff}) {head}")
         return " + ".join(parts)
+
+    @classmethod
+    def parse(cls, text: str):
+        """Read a combination as ``repr`` writes it and the golden tables hold it."""
+        pairs = []
+        for term in [] if text.strip() == "0" else _split_top(text, "+"):
+            coeff = Poly.const(1)
+            if term.startswith("("):  # past it, the first ')' outside brackets closes it
+                written, term = _split_top(term[1:], ")")
+                coeff = Poly.parse(written)
+            pairs.append((cls._key_parse(term), coeff))
+        return cls._of(pairs)
 
 
 class Poly(_Combination):
@@ -229,6 +244,12 @@ class Poly(_Combination):
             return None
 
         def read(node) -> Poly:
+            terms = []  # a sum is a left-nested chain of + and -: read it in a loop
+            while isinstance(node, ast.BinOp) and type(node.op) in _SIGNS:
+                terms.append(read(node.right).scale(_SIGNS[type(node.op)]))
+                node = node.left
+            if terms:  # and add its terms up at once
+                return cls._of(chain(read(node).items(), *(term.items() for term in terms)))
             if (value := integer(node)) is not None:
                 return cls.const(value)
             if isinstance(node, ast.Name):  # the alphabet leaves only readable names
@@ -241,15 +262,15 @@ class Poly(_Combination):
                     return cls({((node.left.id, k),): 1})
                 if op is ast.Div and k:
                     return read(node.left) / k
-                if op in _BINARY:
-                    return _BINARY[op](read(node.left), read(node.right))
+                if op is ast.Mult:
+                    return read(node.left) * read(node.right)
             raise ValueError(f"malformed coefficient {text!r}")
 
-        try:
+        try:  # text nested too deep for ast or for read is malformed too
             body = ast.parse(source, mode="eval").body if _ALPHABET.fullmatch(source) else None
-        except SyntaxError:
-            body = None
-        return read(body)
+            return read(body)
+        except (SyntaxError, RecursionError):
+            raise ValueError(f"malformed coefficient {text!r}") from None
 
     def __str__(self) -> str:
         if not self.terms:
@@ -277,8 +298,6 @@ class Poly(_Combination):
     __repr__ = __str__
 
 
-_as_coeff = Poly._lift
-
 # The fixed indeterminates used across the package.
 SYMBOLS: Dict[str, Poly] = {
     name: Poly.symbol(name)
@@ -295,7 +314,8 @@ class TreeCombination(_Combination):
 
     __slots__ = ()
     _key_sort = staticmethod(_sort_key)
-    _key_repr = staticmethod(repr)
+    _key_repr = staticmethod(format_tree)
+    _key_parse = staticmethod(parse_tree)
 
     @staticmethod
     def _key_mul(t1, t2):
@@ -354,8 +374,13 @@ class TensorElement(_Combination):
     @staticmethod
     def _key_repr(key) -> str:
         left, right = key
-        rtxt = "*".join(repr(t) for t in right) if right else "1"
-        return f"{left!r} @ {rtxt}"
+        return f"{format_tree(left)} @ {'*'.join(map(format_tree, right)) or '1'}"
+
+    @staticmethod
+    def _key_parse(text: str):
+        left, right = _split_top(text, "@")
+        factors = () if right == "1" else map(parse_tree, _split_top(right, "*"))
+        return parse_tree(left), right_mono(factors)
 
     @classmethod
     def single(cls, tree: Tree) -> "TensorElement":

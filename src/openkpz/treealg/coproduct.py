@@ -28,7 +28,6 @@ from openkpz.treealg.combination import (
     RightMono,
     TensorElement,
     TreeCombination,
-    _as_coeff,
 )
 from openkpz.treealg.trees import (
     ONE,
@@ -102,9 +101,7 @@ class CharacterF:
     def __post_init__(self) -> None:
         if len(self.values) != len(PLUS_GENERATORS):
             raise ValueError("a character needs one value per generator")
-        object.__setattr__(
-            self, "values", tuple(_as_coeff(v) for v in self.values)
-        )
+        object.__setattr__(self, "values", tuple(map(Poly._lift, self.values)))
 
     def value(self, generator: Tree) -> Poly:
         for (gen, _), val in zip(PLUS_GENERATORS, self.values):
@@ -177,7 +174,8 @@ def check_structure_group(f: CharacterF) -> List[Tuple[str, bool, str]]:
                 continue
             diff = gamma_f(f, image) - gamma_f(f, tree).integrate(prime)
             ok = all(isinstance(t, Monomial) for t in diff.terms)
-            law = f"Gamma commutes with {'I`' if prime else 'I'} on {name} up to polynomials"
+            integral = "I'" if prime else "I"
+            law = f"Gamma commutes with {integral} on {name} up to polynomials"
             laws.append((law, ok, "" if ok else f"non-polynomial remainder {diff!r}"))
     return laws
 

@@ -52,6 +52,41 @@ class TestVerifyAlgebra:
         assert f"  degree[{rows[3].name}]: computed" in "\n".join(out)
         assert "3/4 tables exact over 14 elements" in out
 
+    def test_gamma_mismatch_prints_table_syntax(self, capsys, monkeypatch):
+        from openkpz.treealg import basis_tree, gamma_f, generic_character, golden
+        from openkpz.treealg.combination import TreeCombination
+
+        rows = golden.load_golden_rows()
+        assert rows[5].name == "<1d1>"
+        rows[5].gamma = TreeCombination.parse("<1d1> + (d) 1 + (g) X1")  # a*g dropped
+        monkeypatch.setattr(golden, "load_golden_rows", lambda: rows)
+        assert run(["verify-algebra"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "table gamma        MISMATCH" in out
+        line = next(line for line in out if line.startswith("  gamma[<1d1>]: computed "))
+        computed, encoded = line.removeprefix("  gamma[<1d1>]: computed ").split(" != encoded ")
+        assert computed == "(a*g + d) 1 + (g) X1 + <1d1>"
+        assert TreeCombination.parse(computed) == gamma_f(generic_character(), basis_tree("<1d1>"))
+        assert TreeCombination.parse(encoded) == rows[5].gamma
+
+    def test_unmatched_renormalization_residual_is_exit_1(self, capsys, monkeypatch):
+        from openkpz.treealg import basis_tree, expansion
+        from openkpz.treealg.combination import SYMBOLS, TreeCombination
+
+        renormalize = expansion.renormalize
+        stray = TreeCombination({basis_tree("<2d>"): SYMBOLS["C1"]})
+        monkeypatch.setattr(expansion, "renormalize", lambda x: renormalize(x) + stray)
+        with pytest.raises(expansion.ConstantExtractionError) as exc:
+            expansion.renorm_constants()
+        assert run(["verify-algebra"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "4/4 tables exact over 14 elements" in out
+        assert "structure group: all properties hold" in out
+        assert out[-1] == "renormalization constants: ()  MISMATCH"
+        line = next(line for line in out if line.startswith("  constants[*]: "))
+        residual = line.removeprefix("  constants[*]: unmatched residual ")
+        assert TreeCombination.parse(residual) == exc.value.residual
+
     def test_failing_structure_group_law_is_exit_1(self, capsys, monkeypatch):
         from openkpz.treealg import golden
 

@@ -67,6 +67,19 @@ class TestNeumann:
         with pytest.raises(ValueError, match=r"at t=300000\.0 needs 10580 > 10000 images"):
             kernels.neumann_kernel(np.array([0.1, 3e5]), 0.3, 0.1)
 
+    @pytest.mark.parametrize("t", [1e-5, 1e-4])
+    def test_spectral_mode_count_follows_the_horizon(self, t):
+        # 200 modes, the old fixed count, left t = 1e-5 11.7 off (values up to 252)
+        xs = np.linspace(0, 1, 9)
+        img, _ = kernels.neumann_kernel(t, xs[:, None], xs[None, :])
+        spec = kernels.neumann_kernel_spectral(t, xs[:, None], xs[None, :])
+        assert np.max(np.abs(img - spec)) < 1e-11
+
+    def test_horizon_needing_over_ten_thousand_modes_named(self):
+        kernels.neumann_kernel_spectral(2e-6, 0.3, 0.1)  # about 8700 modes
+        with pytest.raises(ValueError, match=r"at t=1e-06 needs over 10000 modes"):
+            kernels.neumann_kernel_spectral(1e-6, 0.3, 0.1)
+
     @pytest.mark.parametrize("t", [-0.1, 0.0, np.inf, np.nan])
     def test_spectral_series_rejects_a_horizon_that_is_not_positive_and_finite(self, t):
         with pytest.raises(ValueError, match=rf"positive and finite \(t={t}\)"):

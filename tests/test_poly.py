@@ -93,6 +93,20 @@ def test_golden_table_syntax(text, written):
     assert str(Poly.parse(text)) == written
 
 
+def test_a_long_sum_is_read_in_a_loop():
+    # each + or - once cost a level of recursion: 1000 terms raised RecursionError
+    names = [f"a{i}" for i in range(2000)]
+    assert Poly.parse(" + ".join(names)) == Poly({((name, 1),): 1 for name in names})
+    minus = Poly({((name, 1),): -1 if i else 1 for i, name in enumerate(names)})
+    assert Poly.parse(" - ".join(names)) == minus
+
+
+def test_a_sum_too_long_for_pythons_parser_is_malformed():
+    text = "+".join(f"a{i}" for i in range(20_000))
+    with pytest.raises(ValueError, match=re.escape(f"malformed coefficient {text!r}")):
+        Poly.parse(text)
+
+
 @pytest.mark.parametrize("text", ["2*", "a/0", "a/b", "C0 +", "", "a$b", "a**-1", "2 3",
                                   "a**b", "(a)", "a 10",
                                   "0x1F", "1_0", "1e3", "a # b", "a//2", "None", "True",

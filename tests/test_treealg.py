@@ -33,7 +33,6 @@ from openkpz.treealg import (
     tree_degree,
     verify_golden_tables,
 )
-from openkpz.treealg import golden
 from openkpz.treealg.basis import tree_name
 from openkpz.treealg.combination import SYMBOLS, Poly, TreeCombination
 from openkpz.treealg.coproduct import PLUS_GENERATORS
@@ -131,6 +130,28 @@ class TestTrees:
         with pytest.raises(GrammarError):
             deriv_tree(basis_tree("<1d>"))
 
+    @pytest.mark.parametrize("factors, expected", [
+        # d(X1 * <1>) = <1> + X1*<1d>
+        (["X1", "<1>"], [("<1>", 1), ("X1*<1d>", 1)]),
+        # d(X^(0,2) * <1>) = 2 X1*<1> + X^(0,2)*<1d>
+        (["X^(0,2)", "<1>"], [("X1*<1>", 2), ("X^(0,2)*<1d>", 1)]),
+        # d(<1>*<1>) = 2 <1d>*<1>, one term per factor
+        (["<1>", "<1>"], [("<1d>*<1>", 1), ("<1d>*<1>", 1)]),
+        # d(<1>*<1d1>) = <1d>*<1d1> + <1>*<1d1d>
+        (["<1>", "<1d1>"], [("<1d>*<1d1>", 1), ("<1>*<1d1d>", 1)]),
+        # a monomial factor without X1 differentiates to nothing
+        (["X^(1,0)", "<2d1>"], [("X^(1,0)*<2d1d>", 1)]),
+    ])
+    def test_products_follow_leibniz(self, factors, expected):
+        tree = prod(*map(parse_tree, factors))
+        got = sorted(deriv_tree(tree), key=repr)
+        assert got == sorted(((parse_tree(t), k) for t, k in expected), key=repr)
+
+    @pytest.mark.parametrize("factors", [["X1", "<1d>"], ["<1>", "<2d1d>"], ["<1>", "Xi"]])
+    def test_product_with_a_primed_integral_or_the_noise_rejected(self, factors):
+        with pytest.raises(GrammarError):
+            deriv_tree(prod(*map(parse_tree, factors)))
+
 
 class TestCoproduct:
     def test_primitive_noise(self):
@@ -159,7 +180,7 @@ class TestCoproduct:
     def test_malformed_golden_coefficient_is_named(self, text, coeff):
         # read as a fresh symbol, a typo would only show as a table mismatch
         with pytest.raises(ValueError, match=re.escape(f"malformed coefficient {coeff!r}")):
-            golden.parse_combination(text)
+            TreeCombination.parse(text)
 
 
 class TestStructureGroup:

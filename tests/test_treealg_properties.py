@@ -3,7 +3,7 @@
 import re
 from fractions import Fraction
 from functools import reduce
-from operator import add
+from operator import add, mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,8 +28,8 @@ from openkpz.treealg import (
     tree_degree,
 )
 from openkpz.treealg.basis import PSI
-from openkpz.treealg.combination import SYMBOLS, Poly, TreeCombination
-from openkpz.treealg.coproduct import PLUS_GENERATORS
+from openkpz.treealg.combination import SYMBOLS, Poly, TensorElement, TreeCombination, right_mono
+from openkpz.treealg.coproduct import PLUS_GENERATORS, generic_character
 from openkpz.treealg.degree import degree_from_string
 
 NAMED_TREES = [basis_tree(name) for name in BASIS_NAMES + ["<1d1d>", "<2d2d1d>"]]
@@ -140,6 +140,36 @@ def test_renormalize_with_zero_weights_is_the_identity_on_trees(tree):
 def test_trees_read_back_from_both_writers(tree):
     assert parse_tree(format_tree(tree)) == tree
     assert parse_tree(repr(tree)) == tree
+
+
+# Multi-term coefficients: sums of rational multiples of products of symbols.
+polys = st.lists(
+    st.tuples(rationals, st.lists(st.sampled_from([SYMBOLS[n] for n in ("a", "C0", "a10")]),
+                                  max_size=2)),
+    min_size=1, max_size=3,
+).map(lambda terms: sum((c * reduce(mul, factors, Poly.const(1))
+                         for c, factors in terms), Poly()))
+tree_combinations = st.lists(st.tuples(grammar_trees, polys), max_size=4).map(TreeCombination)
+generators = st.sampled_from([gen for gen, _ in PLUS_GENERATORS])
+tensor_keys = st.tuples(grammar_trees, st.lists(generators, max_size=3).map(right_mono))
+tensor_elements = st.lists(st.tuples(tensor_keys, polys), max_size=4).map(TensorElement)
+
+
+@LAWS
+@given(tree_combinations, tensor_elements)
+@example(TreeCombination({XI: Fraction(-1, 2) * SYMBOLS["a"] - 1}),
+         TensorElement({(prod(PSI, PSI, PSI), (X1, X1)): SYMBOLS["C0"] + Fraction(1, 3)}))
+def test_combinations_read_back_what_they_write(x, y):
+    assert TreeCombination.parse(repr(x)) == x
+    assert TensorElement.parse(repr(y)) == y
+
+
+@pytest.mark.parametrize("name", BASIS_NAMES)
+def test_every_computed_table_entry_reads_back(name):
+    tree = basis_tree(name)
+    assert TensorElement.parse(str(coproduct(tree))) == coproduct(tree)
+    for image in (gamma_f(generic_character(), tree), renormalize(tree)):
+        assert TreeCombination.parse(str(image)) == image
 
 
 @LAWS
