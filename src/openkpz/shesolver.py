@@ -87,7 +87,7 @@ class SimConfig:
         for t in self.save_times or (self.t_final,):
             k = time_steps(t, dt)
             if not 0 <= k <= n_steps:
-                raise ValueError(f"save time {t} lies outside [0, t_final]")
+                raise ValueError(f"save time {t} lies outside [0, t_final] = [0, {self.t_final}]")
             if out.setdefault(k, t) != t:
                 raise ValueError(f"save times {out[k]} and {t} fall on one step (k={k})")
         return out
@@ -177,10 +177,10 @@ def simulate_she(z0: np.ndarray, params: BoundaryParams, cfg: SimConfig) -> SheR
     """
     n = cfg.n
     z_all = np.asarray(z0, dtype=float)
-    if z_all.ndim == 1:
-        z_all = np.broadcast_to(z_all, (cfg.n_paths, n + 1))
-    if z_all.shape != (cfg.n_paths, n + 1):
-        raise ValueError(f"initial data must have shape {(cfg.n_paths, n + 1)}")
+    if z_all.shape not in ((n + 1,), (cfg.n_paths, n + 1)):  # one start for all paths, or one each
+        raise ValueError(f"initial data must have shape {(n + 1,)} or {(cfg.n_paths, n + 1)}, "
+                         f"not {z_all.shape}")
+    z_all = np.broadcast_to(z_all, (cfg.n_paths, n + 1))
     if not np.all(np.isfinite(z_all) & (z_all > 0)):
         raise ValueError("initial data must be finite and strictly positive")
     step = _TridiagonalStep(robin_laplacian(n, params.u, params.v), cfg.dt)

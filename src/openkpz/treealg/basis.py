@@ -1,4 +1,5 @@
-"""The 14 basis trees, their diagram names, and a text syntax for trees.
+"""The 14 basis trees, their diagram names, and all tree text: one reader,
+``parse_tree``, and one writer, ``format_tree``, which every tree's ``repr`` calls.
 
 Diagram names follow the pictures: ``<1d>`` is the primed integral of the
 noise (written Psi below), ``<2d>`` is Psi^2, a trailing ``1``/``1d`` is a
@@ -22,7 +23,6 @@ from openkpz.treealg.trees import (
     Monomial,
     Product,
     Tree,
-    Xi,
     prod,
     tree_degree,
 )
@@ -51,11 +51,7 @@ _BASIS: Dict[str, Tree] = {
     "<tree2>": prod(IP_PSI2, IP_PSI2),
 }
 
-_NAMED: Dict[str, Tree] = {
-    **_BASIS,
-    "<1d1d>": IP_PSI,
-    "<2d2d1d>": IP_PSI_IP_PSI2,
-}
+_NAMED: Dict[str, Tree] = {**_BASIS, "<1d1d>": IP_PSI, "<2d2d1d>": IP_PSI_IP_PSI2}
 
 BASIS_NAMES: List[str] = list(_BASIS)
 
@@ -84,8 +80,10 @@ _MONOMIAL = re.compile(r"X\^\((\d+),(\d+)\)")
 _INTEG = re.compile(r"(I'?)\((.*)\)")
 
 
-def _split_top(text: str, sep: str) -> List[str]:
-    """Split on the character ``sep`` outside parentheses and angle brackets."""
+def _split_top(text: str, sep: str, count: int | None = None) -> List[str]:
+    """Split on the character ``sep`` outside parentheses and angle brackets,
+    into ``count`` parts if given; a ValueError names ``text`` when its
+    brackets do not close or it splits into another number of parts."""
     parts: List[str] = []
     depth = start = 0
     for i, ch in enumerate(text):
@@ -96,7 +94,13 @@ def _split_top(text: str, sep: str) -> List[str]:
             depth += 1
         elif ch in ")>":
             depth -= 1
+            if depth < 0:  # it closes a bracket that never opened
+                break
     parts.append(text[start:].strip())
+    if depth:
+        raise ValueError(f"brackets do not close in {text!r}")
+    if count is not None and len(parts) != count:
+        raise ValueError(f"{text!r} does not split at {sep!r} into {count} parts")
     return parts
 
 
@@ -123,8 +127,8 @@ def format_tree(tree: Tree) -> str:
     name = tree_name(tree)
     if name is not None:
         return name
-    if isinstance(tree, (Xi, Monomial)):
-        return repr(tree)
+    if isinstance(tree, Monomial):
+        return f"X^({tree.l0},{tree.l1})"
     if isinstance(tree, Integ):
         head = "I'" if tree.prime else "I"
         return f"{head}({format_tree(tree.child)})"

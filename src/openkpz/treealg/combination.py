@@ -135,7 +135,7 @@ class _Combination:
         for term in [] if text.strip() == "0" else _split_top(text, "+"):
             coeff = Poly.const(1)
             if term.startswith("("):  # past it, the first ')' outside brackets closes it
-                written, term = _split_top(term[1:], ")")
+                written, term = _split_top(term[1:], ")", 2)
                 coeff = Poly.parse(written)
             pairs.append((cls._key_parse(term), coeff))
         return cls._of(pairs)
@@ -378,7 +378,7 @@ class TensorElement(_Combination):
 
     @staticmethod
     def _key_parse(text: str):
-        left, right = _split_top(text, "@")
+        left, right = _split_top(text, "@", 2)
         factors = () if right == "1" else map(parse_tree, _split_top(right, "*"))
         return parse_tree(left), right_mono(factors)
 

@@ -39,17 +39,13 @@ class GoldenRow:
 
 
 def load_golden_rows() -> List[GoldenRow]:
-    text = (
-        importlib.resources.files("openkpz.treealg")
-        .joinpath("data/golden_tables.txt")
-        .read_text()
-    )
+    text = (importlib.resources.files("openkpz.treealg") / "data/golden_tables.txt").read_text()
     rows = []
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        name, term, degree, delta, gamma, mg = _split_top(line, "|")
+        name, term, degree, delta, gamma, mg = _split_top(line, "|", 6)
         rows.append(GoldenRow(name, parse_tree(term), degree_from_string(degree),
                               TensorElement.parse(delta),
                               TreeCombination.parse(gamma), TreeCombination.parse(mg)))
@@ -101,10 +97,10 @@ def verify_golden_tables() -> GoldenReport:
     computed_basis = {name: (tree, deg) for name, tree, deg in basis_W()}
     for row in rows:
         tree, deg = computed_basis.get(row.name, (None, None))
-        if tree is None or tree != row.term:
-            report.mismatches.append(
-                ("degree", row.name, f"encoded term {row.term!r} != basis {tree!r}")
-            )
+        if tree != row.term:
+            detail = (f"no basis element is named {row.name}" if tree is None
+                      else f"encoded term {row.term!r} != basis {tree!r}")
+            report.mismatches.append(("degree", row.name, detail))
             continue
         computed = (deg, coproduct(tree), gamma_f(f, tree), renormalize(tree))
         encoded = (row.degree, row.delta, row.gamma, row.mg)

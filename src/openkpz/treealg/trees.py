@@ -7,6 +7,8 @@ products are flattened, factors sorted, monomial factors merged, and the
 unit dropped.  ``I(X^l) = I'(X^l) = 0`` by convention, so the constructors
 for integration refuse monomial children; linear maps built on top of the
 grammar drop those terms instead (see :mod:`openkpz.treealg.combination`).
+This module holds the grammar only; all tree text is in
+:mod:`openkpz.treealg.basis`.
 """
 
 from __future__ import annotations
@@ -22,14 +24,22 @@ class GrammarError(ValueError):
     """Raised when a symbol outside the grammar would be constructed."""
 
 
-@dataclass(frozen=True)
-class Xi:
+class _Node:
+    """Every tree prints as ``basis.format_tree`` writes it, which ``parse_tree`` reads."""
+
     def __repr__(self) -> str:
-        return "Xi"
+        from openkpz.treealg.basis import format_tree  # basis imports this module
+
+        return format_tree(self)
 
 
-@dataclass(frozen=True)
-class Monomial:
+@dataclass(frozen=True, repr=False)
+class Xi(_Node):
+    """The noise symbol."""
+
+
+@dataclass(frozen=True, repr=False)
+class Monomial(_Node):
     l0: int
     l1: int
 
@@ -37,20 +47,9 @@ class Monomial:
         if self.l0 < 0 or self.l1 < 0:
             raise GrammarError(f"negative exponents in X^({self.l0},{self.l1})")
 
-    @property
-    def is_unit(self) -> bool:
-        return self.l0 == 0 and self.l1 == 0
 
-    def __repr__(self) -> str:
-        if self.is_unit:
-            return "1"
-        if self.l0 == 0 and self.l1 == 1:
-            return "X1"
-        return f"X^({self.l0},{self.l1})"
-
-
-@dataclass(frozen=True)
-class Integ:
+@dataclass(frozen=True, repr=False)
+class Integ(_Node):
     child: "Tree"
     prime: bool = False
 
@@ -58,17 +57,10 @@ class Integ:
         if isinstance(self.child, Monomial):
             raise GrammarError("I/I' of a monomial is 0, not a tree")
 
-    def __repr__(self) -> str:
-        name = "I'" if self.prime else "I"
-        return f"{name}({self.child!r})"
 
-
-@dataclass(frozen=True)
-class Product:
+@dataclass(frozen=True, repr=False)
+class Product(_Node):
     factors: Tuple["Tree", ...]
-
-    def __repr__(self) -> str:
-        return "*".join(repr(f) for f in self.factors)
 
 
 Tree = Union[Xi, Monomial, Integ, Product]

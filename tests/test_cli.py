@@ -52,6 +52,46 @@ class TestVerifyAlgebra:
         assert f"  degree[{rows[3].name}]: computed" in "\n".join(out)
         assert "3/4 tables exact over 14 elements" in out
 
+    def test_encoded_term_that_is_not_the_basis_tree_is_exit_1(self, capsys, monkeypatch):
+        from openkpz.treealg import basis_tree, golden, parse_tree
+
+        rows = golden.load_golden_rows()
+        rows[3].term, rows[4].name = rows[4].term, "<nope>"
+        monkeypatch.setattr(golden, "load_golden_rows", lambda: rows)
+        assert run(["verify-algebra"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "table degree       MISMATCH" in out
+        encoded, basis = rows[4].term, basis_tree(rows[3].name)
+        line = f"  degree[{rows[3].name}]: encoded term {encoded!r} != basis {basis!r}"
+        assert line in out
+        written = line.split(": encoded term ")[1].split(" != basis ")
+        assert list(map(parse_tree, written)) == [encoded, basis]
+        assert "  degree[<nope>]: no basis element is named <nope>" in out
+
+    def test_row_count_mismatch_is_exit_1(self, capsys, monkeypatch):
+        from openkpz.treealg import golden
+
+        rows = golden.load_golden_rows()[:-1]
+        monkeypatch.setattr(golden, "load_golden_rows", lambda: rows)
+        assert run(["verify-algebra"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "  degree[*]: 13 rows encoded, 14 basis elements" in out
+        assert "3/4 tables exact over 13 elements" in out
+
+    def test_unclosed_bracket_in_a_table_row_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        import importlib.resources
+
+        text = (importlib.resources.files("openkpz.treealg") / "data/golden_tables.txt").read_text()
+        row = next(line for line in text.splitlines() if line.startswith("<1d1> |"))
+        delta = row.split(" | ")[3]
+        bad = row.replace(f" | {delta} | ", f" | (a {delta} | ", 1)
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "golden_tables.txt").write_text(text.replace(row, bad))
+        monkeypatch.setattr(importlib.resources, "files", lambda package: tmp_path)
+        assert run(["verify-algebra"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: brackets do not close in ") and bad in err
+
     def test_gamma_mismatch_prints_table_syntax(self, capsys, monkeypatch):
         from openkpz.treealg import basis_tree, gamma_f, generic_character, golden
         from openkpz.treealg.combination import TreeCombination
@@ -333,6 +373,8 @@ class TestDegenerateInput:
         (["simulate", "--t-final", 0], "positive and finite (t=0.0)"),
         (["simulate", "--t-final", "inf"], "positive and finite (t=inf)"),
         (["simulate", "--save-times", -0.5], "positive and finite (t=-0.5)"),
+        (["simulate", "--t-final", 1, "--save-times", 2],
+         "save time 2.0 lies outside [0, t_final] = [0, 1.0]"),
         (["experiment", "coupling", "--t-final", -1], "positive and finite (t=-1.0)"),
         (["kernel", "--kind", "gauss", "--grid", 4, "--u", 0.5],
          "the gauss variant does not read 'u'"),
@@ -377,7 +419,8 @@ class TestDegenerateInput:
             "bm-drift-n-samples-0", "robin-u-nan", "simulate-u-nan", "coupling-u-nan",
             "neumann-grid-0", "gauss-grid-negative", "neumann-grid-negative",
             "simulate-t-final-negative", "simulate-t-final-0", "simulate-t-final-inf",
-            "simulate-save-time-negative", "coupling-t-final-negative", "gauss-u",
+            "simulate-save-time-negative", "simulate-save-time-past-t-final",
+            "coupling-t-final-negative", "gauss-u",
             "bm-drift-rho", "gauss-t-negative", "gauss-t-nan", "gauss-t-inf", "neumann-t-0",
             "neumann-t-nan", "neumann-t-inf", "robin-t-negative", "robin-t-nan", "robin-t-inf",
             "robin-t-overflows-step-count", "simulate-t-final-above-step-bound",

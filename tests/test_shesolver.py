@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -37,6 +38,19 @@ class TestConfig:
         cfg = SimConfig(dx=1.0 / 32, t_final=0.5, n_paths=100, save_times=(0.1234,))
         with pytest.raises(ValueError):
             cfg.save_step_indices()
+
+    def test_save_time_past_the_horizon_names_t_final(self):
+        cfg = SimConfig(dx=0.25, t_final=1.0, n_paths=2, save_times=(0.5, 2.0))
+        with pytest.raises(ValueError, match=r"save time 2\.0 lies outside \[0, t_final\] = "
+                                             r"\[0, 1\.0\]"):
+            cfg.save_step_indices()
+
+    @pytest.mark.parametrize("shape", [(3, 5), (2, 4), (4,), (1, 5), (2, 5, 1)])
+    def test_initial_data_of_another_shape_named(self, shape):
+        cfg = SimConfig(dx=0.25, t_final=0.25, n_paths=2)
+        with pytest.raises(ValueError, match=re.escape(
+                f"initial data must have shape (5,) or (2, 5), not {shape}")):
+            simulate_she(np.ones(shape), BoundaryParams(0.0, 0.0), cfg)
 
     def test_two_save_times_on_one_step_rejected(self):
         equal = SimConfig(dx=0.25, t_final=1.0, n_paths=100, save_times=(0.5, 0.5, 1.0))

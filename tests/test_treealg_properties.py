@@ -17,6 +17,8 @@ from openkpz.treealg import (
     ExactDegree,
     Integ,
     Monomial,
+    Product,
+    Xi,
     basis_tree,
     compose_gamma,
     coproduct,
@@ -27,7 +29,7 @@ from openkpz.treealg import (
     renormalize,
     tree_degree,
 )
-from openkpz.treealg.basis import PSI
+from openkpz.treealg.basis import PSI, tree_name
 from openkpz.treealg.combination import SYMBOLS, Poly, TensorElement, TreeCombination, right_mono
 from openkpz.treealg.coproduct import PLUS_GENERATORS, generic_character
 from openkpz.treealg.degree import degree_from_string
@@ -138,8 +140,19 @@ def test_renormalize_with_zero_weights_is_the_identity_on_trees(tree):
 @SYNTAX
 @given(grammar_trees)
 def test_trees_read_back_from_both_writers(tree):
+    assert repr(tree) == format_tree(tree)
     assert parse_tree(format_tree(tree)) == tree
     assert parse_tree(repr(tree)) == tree
+
+
+@pytest.mark.parametrize("tree", NAMED_TREES, ids=format_tree)
+def test_named_trees_print_as_their_diagram_names(tree):
+    assert repr(tree) == format_tree(tree) == tree_name(tree)
+    assert parse_tree(repr(tree)) == tree
+
+
+def test_every_tree_class_shares_one_writer():
+    assert len({cls.__repr__ for cls in (Xi, Monomial, Integ, Product)}) == 1
 
 
 # Multi-term coefficients: sums of rational multiples of products of symbols.
@@ -203,3 +216,16 @@ def test_text_that_is_no_degree_is_named(text):
 def test_malformed_tree_rejected(text):
     with pytest.raises(ValueError):
         parse_tree(text)
+
+
+@pytest.mark.parametrize("cls, text", [
+    (TreeCombination, "(a"),
+    (TreeCombination, "(a) Xi) Xi"),
+    (TreeCombination, "(a Xi"),
+    (TreeCombination, "<1> + (a) Xi) Xi"),
+    (TensorElement, "Xi"),
+    (TensorElement, "Xi @ 1 @ 1"),
+])
+def test_malformed_combination_names_the_whole_text(cls, text):
+    with pytest.raises(ValueError, match=re.escape(repr(text))):
+        cls.parse(text)
