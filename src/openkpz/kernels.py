@@ -2,10 +2,13 @@
 
 Convention: all kernels solve d/dt = (1/2) d^2/dx^2, so the whole-line
 kernel is (2*pi*t)^(-1/2) exp(-x^2/(2t)).  The Neumann kernel on [0,1] is
-the image sum; the Robin kernel is computed as a discrete semigroup
-(Crank-Nicolson with centered ghost points).  The constant `a` is a
-quadrature of the mollifier autocorrelation against an explicit bracket
-built from the error function and the whole-line kernel.
+the image sum; the Robin kernel is computed as a discrete semigroup:
+Rannacher-started Crank-Nicolson with centered ghost points, evaluated in
+closed form from one eigendecomposition of the Laplacian symmetrised by the
+ghost points' end weights W, so m steps cost one diagonal power and not m
+solves.  The constant `a` is a quadrature of the mollifier autocorrelation
+against an explicit bracket built from the error function and the whole-line
+kernel.
 """
 
 from __future__ import annotations
@@ -93,14 +96,44 @@ def robin_laplacian(n: int, u: float, v: float) -> sparse.csr_matrix:
     return (0.5 / dx**2) * L
 
 
+def end_weights(n: int) -> np.ndarray:
+    """W = diag(1/2, 1, ..., 1, 1/2) on n+1 points: the ghost points give each end half a cell.
+
+    The Robin Laplacian is self-adjoint in the inner product weighted by W, and
+    W / n is the trapezoid rule on [0,1].
+    """
+    w = np.ones(n + 1)
+    w[[0, -1]] = 0.5
+    return w
+
+
 class CrankNicolson:
-    """Propagator of dZ/dt = L Z by (I - dt/2 L) Z' = (I + dt/2 L) Z."""
+    """Propagator of dZ/dt = L Z by (I - dt/2 L) Z' = (I + dt/2 L) Z.
+
+    L is self-adjoint in W (``end_weights``), so S = W^1/2 L W^-1/2 is a
+    symmetric tridiagonal matrix with eigendecomposition Q diag(lam) Q^T,
+    computed once here.  m steps are then one diagonal power,
+    W^-1/2 Q diag(r^m) Q^T W^1/2 with r = (1 + dt/2 lam) / (1 - dt/2 lam).
+    ``step`` and ``step_with_forcing`` solve one step by sparse LU instead.
+    """
 
     def __init__(self, L: sparse.spmatrix, dt: float):
         if dt <= 0:
             raise ValueError("time step must be positive")
         self.dt = dt
         n = L.shape[0]
+        self._scale = np.sqrt(end_weights(n - 1))
+        off = L.diagonal(1) * self._scale[:-1] / self._scale[1:]  # both sides: S = S^T exactly
+        S = np.diag(L.diagonal()) + np.diag(off, 1) + np.diag(off, -1)
+        lam, self._modes = np.linalg.eigh(S)
+        implicit = 1.0 - 0.5 * dt * lam
+        # eigh's eigenvalues are accurate to about n eps max|lam|, so within that of 0 is 0
+        near = np.abs(implicit) <= n * np.finfo(float).eps * max(1.0, 0.5 * dt * np.abs(lam).max())
+        if near.any():
+            raise ValueError(f"I - dt/2 L is singular (L's eigenvalue {lam[near][0]!r} is 2/dt "
+                             "to rounding)")
+        self._implicit = 1.0 / implicit  # one implicit-Euler half-step per mode
+        self._cn = (1.0 + 0.5 * dt * lam) * self._implicit  # one CN step per mode
         eye = sparse.identity(n, format="csc")
         self._solver = splu((eye - 0.5 * dt * L).tocsc())
         self._explicit = (eye + 0.5 * dt * L).tocsr()
@@ -112,10 +145,18 @@ class CrankNicolson:
         """(I - dt/2 L) z' = (I + dt/2 L) z + forcing."""
         return self._solver.solve(self._explicit @ z + forcing)
 
+    def _spectral(self, z: np.ndarray, factors: np.ndarray) -> np.ndarray:
+        """W^-1/2 Q diag(factors) Q^T W^1/2 z for z of shape (n+1,) or (n+1, k)."""
+        z = np.asarray(z, dtype=float)
+        column = (slice(None),) + (None,) * (z.ndim - 1)
+        coeffs = self._modes.T @ (self._scale[column] * z)
+        coeffs *= factors[column]
+        out = self._modes @ coeffs
+        out /= self._scale[column]
+        return out
+
     def advance(self, z: np.ndarray, n_steps: int) -> np.ndarray:
-        for _ in range(n_steps):
-            z = self.step(z)
-        return z
+        return self._spectral(z, self._cn**n_steps)
 
 
 class RannacherPropagator(CrankNicolson):
@@ -124,15 +165,13 @@ class RannacherPropagator(CrankNicolson):
     The first two CN steps are each replaced by two implicit-Euler
     half-steps, damping the high modes of rough (delta-like) initial data
     that plain Crank-Nicolson leaves oscillating; overall accuracy stays
-    second order.
+    second order.  An implicit-Euler half-step solves with the CN matrix
+    I - dt/2 L, so in the modes it is the factor 1 / (1 - dt/2 lam).
     """
 
     def advance(self, z: np.ndarray, n_steps: int) -> np.ndarray:
         startup = min(RANNACHER_STEPS, n_steps)
-        # an implicit-Euler half-step solves with the CN matrix I - dt/2 L
-        for _ in range(startup):
-            z = self._solver.solve(self._solver.solve(z))
-        return super().advance(z, n_steps - startup)
+        return self._spectral(z, self._cn ** (n_steps - startup) * self._implicit ** (2 * startup))
 
 
 def robin_kernel(t: float, u: float, v: float, n: int) -> np.ndarray:
@@ -147,9 +186,7 @@ def robin_kernel(t: float, u: float, v: float, n: int) -> np.ndarray:
     step_count(t, 1.0 / (8 * n))  # bounds the horizon before t * 8 * n can overflow
     n_steps = max(64, round(t * 8 * n))
     dt = t / n_steps
-    weights = np.full(n + 1, 1.0 / n)
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
+    weights = end_weights(n) / n
     prop = RannacherPropagator(robin_laplacian(n, u, v), dt)
     return prop.advance(np.diag(1.0 / weights), n_steps)
 

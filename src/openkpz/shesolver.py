@@ -34,7 +34,7 @@ import numpy as np
 from scipy.linalg.lapack import dpttrs
 
 from openkpz.grid import check_time, default_dt, grid_size, time_steps
-from openkpz.kernels import CrankNicolson, robin_laplacian
+from openkpz.kernels import CrankNicolson, end_weights, robin_laplacian
 
 RNG_CHUNK = 512  # paths per independent noise stream
 # Noise bytes per block draw; no bit depends on it.  It gives K = 248 steps for
@@ -143,7 +143,7 @@ class _TridiagonalStep:
     """
 
     def __init__(self, L, dt: float):
-        self.scale = np.sqrt(np.r_[0.5, np.ones(L.shape[0] - 2), 0.5])
+        self.scale = np.sqrt(end_weights(L.shape[0] - 1))
         d = (1.0 - 0.5 * dt * L.diagonal()).tolist()
         e = (-0.5 * dt * L.diagonal(1) * self.scale[:-1] / self.scale[1:]).tolist()
         for i, ei in enumerate(e):  # dpttrf's recurrence, without its test d > 0

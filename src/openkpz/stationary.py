@@ -154,14 +154,18 @@ class McmcResult:
 
 
 def _integrated_autocorr(series: np.ndarray) -> float:
-    """Initial-positive-sequence estimate of the integrated autocorrelation."""
+    """Initial-positive-sequence estimate of the integrated autocorrelation.
+
+    The lag products are summed by numpy's pairwise sum, not by BLAS ``ddot``,
+    whose summation order, and so whose last bits, depend on the CPU's kernel.
+    """
     x = series - series.mean()
-    var = float(np.dot(x, x)) / len(x)
+    var = float(np.add.reduce(x * x)) / len(x)
     if var == 0.0:
         return 1.0
     tau = 1.0
     for lag in range(1, len(x) // 2):
-        rho = float(np.dot(x[:-lag], x[lag:])) / ((len(x) - lag) * var)
+        rho = float(np.add.reduce(x[:-lag] * x[lag:])) / ((len(x) - lag) * var)
         if rho <= 0:
             break
         tau += 2.0 * rho

@@ -26,6 +26,9 @@ from openkpz.treealg.trees import Tree
 TABLE_NAMES = ("degree", "coproduct", "gamma", "renormalize")
 # (c1, c2, c3) of renorm_constants() at the symbolic weights C0-C3.
 EXPECTED_CONSTANTS = ("C0", "2*C0", "C2/4 + C3/2 + 2*a10*C0 + C1")
+# The columns after a row's name: their names in error messages, and their readers.
+_READERS = (("term", parse_tree), ("degree", degree_from_string), ("Δ", TensorElement.parse),
+            ("Γ_f", TreeCombination.parse), ("M_g", TreeCombination.parse))
 
 
 @dataclass
@@ -39,16 +42,21 @@ class GoldenRow:
 
 
 def load_golden_rows() -> List[GoldenRow]:
+    """The table file's rows; a cell that does not parse is a ValueError naming row and column."""
     text = (importlib.resources.files("openkpz.treealg") / "data/golden_tables.txt").read_text()
     rows = []
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        name, term, degree, delta, gamma, mg = _split_top(line, "|", 6)
-        rows.append(GoldenRow(name, parse_tree(term), degree_from_string(degree),
-                              TensorElement.parse(delta),
-                              TreeCombination.parse(gamma), TreeCombination.parse(mg)))
+        name, *cells = _split_top(line, "|", 6)
+        values = []
+        for (column, read), cell in zip(_READERS, cells):
+            try:
+                values.append(read(cell))
+            except ValueError as exc:
+                raise ValueError(f"golden table row {name}, column {column}: {exc}") from exc
+        rows.append(GoldenRow(name, *values))
     return rows
 
 

@@ -78,19 +78,33 @@ class TestVerifyAlgebra:
         assert "  degree[*]: 13 rows encoded, 14 basis elements" in out
         assert "3/4 tables exact over 13 elements" in out
 
-    def test_unclosed_bracket_in_a_table_row_is_exit_2(self, tmp_path, capsys, monkeypatch):
+    @staticmethod
+    def _edit_delta_of_1d1(tmp_path, monkeypatch, edit):
+        """Serve a copy of the tables whose <1d1> row has the Delta cell ``edit(delta)``."""
         import importlib.resources
 
         text = (importlib.resources.files("openkpz.treealg") / "data/golden_tables.txt").read_text()
         row = next(line for line in text.splitlines() if line.startswith("<1d1> |"))
         delta = row.split(" | ")[3]
-        bad = row.replace(f" | {delta} | ", f" | (a {delta} | ", 1)
+        bad = row.replace(f" | {delta} | ", f" | {edit(delta)} | ", 1)
+        assert bad != row
         (tmp_path / "data").mkdir()
         (tmp_path / "data" / "golden_tables.txt").write_text(text.replace(row, bad))
         monkeypatch.setattr(importlib.resources, "files", lambda package: tmp_path)
+        return bad
+
+    def test_unclosed_bracket_in_a_table_row_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        bad = self._edit_delta_of_1d1(tmp_path, monkeypatch, lambda delta: f"(a {delta}")
         assert run(["verify-algebra"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: brackets do not close in ") and bad in err
+
+    def test_unreadable_cell_names_its_row_and_column(self, tmp_path, capsys, monkeypatch):
+        self._edit_delta_of_1d1(tmp_path, monkeypatch,
+                                lambda delta: delta.replace("<1d1>", "<1dd1>", 1))
+        assert run(["verify-algebra"]) == 2
+        assert capsys.readouterr().err == ("configuration error: golden table row <1d1>, "
+                                           "column Δ: cannot read '<1dd1>' as a tree\n")
 
     def test_gamma_mismatch_prints_table_syntax(self, capsys, monkeypatch):
         from openkpz.treealg import basis_tree, gamma_f, generic_character, golden

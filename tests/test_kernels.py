@@ -144,8 +144,8 @@ class TestRobin:
     def test_laplacian_self_adjoint_in_end_weights(self, n, u, v):
         # the ghost points give each end node half a cell: W = diag(1/2, 1, ..., 1, 1/2)
         L = kernels.robin_laplacian(n, u, v).toarray()
-        w = np.ones(n + 1)
-        w[[0, -1]] = 0.5
+        w = kernels.end_weights(n)
+        assert w.tolist() == [0.5] + [1.0] * (n - 1) + [0.5]
         assert np.array_equal(w[:, None] * L, (w[:, None] * L).T)
         # so S = W^1/2 A W^-1/2 with A = I - dt/2 L is symmetric to rounding
         A = np.eye(n + 1) - 0.25 / n**2 * L
@@ -222,3 +222,47 @@ class TestPropagators:
         monkeypatch.setattr(kernels, "splu", counting_splu)
         kernels.RannacherPropagator(kernels.robin_laplacian(16, 1.0, 0.0), 1e-3)
         assert len(calls) == 1
+
+    # The closed form against the sparse-LU step it replaces in ``advance``: the
+    # reference is m calls of ``step``, Rannacher's first two each replaced by
+    # two implicit half-steps with the same LU factor.  At (-60, -60) and dx = 1/8
+    # the CN matrix I - dt/2 L is indefinite and some modes grow.
+    @pytest.mark.parametrize("columns", [(), (3,)], ids=["vector", "matrix"])
+    @pytest.mark.parametrize("n_steps", [0, 1, 2, 3, 40])
+    @pytest.mark.parametrize("u, v, n", [(0.5, 0.5, 32), (1.0, 0.0, 32), (-0.5, 2.0, 32),
+                                         (3.0, 3.0, 32), (-60.0, -60.0, 8)])
+    @pytest.mark.parametrize("propagator", [kernels.CrankNicolson, kernels.RannacherPropagator])
+    def test_closed_form_matches_steps(self, propagator, u, v, n, n_steps, columns):
+        prop = propagator(kernels.robin_laplacian(n, u, v), 0.5 / n**2)
+        want = z = np.random.default_rng(n).normal(size=(n + 1, *columns))
+        for k in range(n_steps):
+            if propagator is kernels.RannacherPropagator and k < kernels.RANNACHER_STEPS:
+                want = prop._solver.solve(prop._solver.solve(want))
+            else:
+                want = prop.step(want)
+        got = prop.advance(z, n_steps)
+        assert got.shape == z.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_advance_takes_no_steps(self, monkeypatch):
+        # a horizon of 10^7 steps costs one diagonal power, and nothing is solved
+        prop = kernels.RannacherPropagator(kernels.robin_laplacian(16, 1.0, 1.0), 1e-3)
+        monkeypatch.setattr(prop, "_solver", None)
+        monkeypatch.setattr(prop, "step", None)
+        out = prop.advance(np.ones(17), 10**7)  # t = 10^4: every mode has decayed
+        assert np.all(np.isfinite(out)) and np.max(np.abs(out)) < 1e-300
+
+    @pytest.mark.parametrize("propagator", [kernels.CrankNicolson, kernels.RannacherPropagator])
+    def test_singular_implicit_matrix_is_named(self, propagator):
+        # n = 1, u = v = -3/2: L = [[1, 1], [1, 1]] has the eigenvalue 2 = 2/dt at dt = 1
+        L = kernels.robin_laplacian(1, -1.5, -1.5)
+        assert np.array_equal(L.toarray(), np.ones((2, 2)))
+        with pytest.raises(ValueError, match=r"I - dt/2 L is singular \(L's eigenvalue "):
+            propagator(L, 1.0)  # not a divide warning: the suite turns warnings into errors
+
+    @pytest.mark.parametrize("t, u, v, n", [(0.1, 0.5, 0.5, 64), (1.0, 1.0, 1.0, 64),
+                                            (0.1, -0.5, 2.0, 32), (0.02, -60.0, -60.0, 8)])
+    def test_robin_kernel_is_symmetric(self, t, u, v, n):
+        # K = W^-1/2 Q diag(f) Q^T W^-1/2 n: symmetric up to the rounding of two products
+        K = kernels.robin_kernel(t, u, v, n)
+        assert np.max(np.abs(K - K.T)) <= 1e-14 * np.max(np.abs(K))
