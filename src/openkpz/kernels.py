@@ -6,9 +6,9 @@ the image sum; the Robin kernel is computed as a discrete semigroup:
 Rannacher-started Crank-Nicolson with centered ghost points, evaluated in
 closed form from one eigendecomposition of the Laplacian symmetrised by the
 ghost points' end weights W, so m steps cost one diagonal power and not m
-solves.  The constant `a` is a quadrature of the mollifier autocorrelation
-against an explicit bracket built from the error function and the whole-line
-kernel.
+solves.  The constant `a` is a quadrature of the mollifier autocorrelation,
+taken in closed form as an exact polynomial, against an explicit bracket
+built from the error function and the whole-line kernel.
 """
 
 from __future__ import annotations
@@ -218,25 +218,36 @@ class Mollifier:
         return (35.0 / 32.0) * inside**3
 
 
+# A(z) for the unit bump as a polynomial in p = |z| - 1 on [0, 2], lowest
+# degree first: the exact rationals of int b(w - z) b(w) dw.  The centred
+# variable keeps Horner's absolute rounding error near 1e-16 on all of [0, 2].
+_AUTOCORRELATION_COEFFS = (
+    164885.0 / 1757184.0, -62195.0 / 135168.0, 17115.0 / 22528.0,
+    -1505.0 / 6144.0, -7315.0 / 12288.0, 1995.0 / 4096.0, 175.0 / 1024.0,
+    -245.0 / 1024.0, -105.0 / 4096.0, 665.0 / 12288.0, 35.0 / 6144.0,
+    -105.0 / 22528.0, -175.0 / 135168.0, -175.0 / 1757184.0,
+)
+
+
 def _bump_autocorrelation(z: np.ndarray, radius: float) -> np.ndarray:
-    """A(z) = integral b_r(w - z) b_r(w) dw for the scaled bump b_r.
+    """A_r(z) = integral b_r(w - z) b_r(w) dw for the scaled bump b_r.
 
-    The integrand is a polynomial of degree 12 on the overlap interval, so
-    13-point Gauss-Legendre integrates it exactly.
+    In closed form A_r(z) = A(z / r) / r, where the unit A is the degree-13
+    polynomial q^7 (35/64 - 105/128 q + ... + 175/1757184 q^6), q = 2 - |z|,
+    for |z| < 2 and 0 beyond.
     """
-    z = np.asarray(z, dtype=float) / radius
-    lo = np.maximum(-1.0, z - 1.0)
-    hi = np.minimum(1.0, z + 1.0)
-    nodes, weights = np.polynomial.legendre.leggauss(13)
-    mid = 0.5 * (lo + hi)
-    half = np.clip(0.5 * (hi - lo), 0.0, None)
-    w = mid[:, None] + half[:, None] * nodes[None, :]
-    vals = Mollifier.bump(w - z[:, None]) * Mollifier.bump(w)
-    return (vals @ weights) * half / radius
+    x = np.abs(np.asarray(z, dtype=float)) / radius
+    p = x - 1.0
+    value = np.full_like(p, _AUTOCORRELATION_COEFFS[-1])
+    for coeff in _AUTOCORRELATION_COEFFS[-2::-1]:
+        value *= p
+        value += coeff
+    value[x >= 2.0] = 0.0
+    return value / radius
 
 
-def _constant_a_single(rho: Mollifier, n: int) -> float:
-    """One quadrature pass with n outer cells.
+def _constant_a_single(rho: Mollifier, n: int, u: np.ndarray, ug: np.ndarray) -> float:
+    """One quadrature pass with n outer cells and the inner rule (u, ug).
 
     The bracket F(s, y) = 1/2 - (1/2) Erf(|y| / sqrt(2|s|)) - 2 |y| N(s, y),
     with N the heat kernel, is discontinuous at the space-time origin (it is
@@ -248,17 +259,8 @@ def _constant_a_single(rho: Mollifier, n: int) -> float:
         g(u) = Erfc(u) / 2 - (2 / sqrt(pi)) u exp(-u^2),
 
     and s = sigma^2 absorbs the remaining sqrt(s) factor, so both loops
-    converge at full order.
+    converge at full order.  ``ug`` holds the inner weights times g(u).
     """
-    # inner rule: Gauss-Legendre in u over [0, ucut]; g decays like exp(-u^2)
-    ucut = 10.0
-    un, uw = np.polynomial.legendre.leggauss(96)
-    u = 0.5 * ucut * (un + 1.0)
-    uw = 0.5 * ucut * uw
-    # erfc, not 1 - erf: 1 - erf(u) rounds to 0 at 42 of the 96 nodes
-    erfc = np.array([math.erfc(node) for node in u])
-    g = 0.5 * erfc - (2.0 / math.sqrt(math.pi)) * u * np.exp(-u * u)
-
     # outer rule: midpoint in sigma = sqrt(s) over (0, sqrt(2 rt)]
     smax = math.sqrt(2.0 * rho.time_radius)
     edges = np.linspace(0.0, smax, n + 1)
@@ -269,7 +271,7 @@ def _constant_a_single(rho: Mollifier, n: int) -> float:
 
     y = np.sqrt(2.0 * s)[:, None] * u[None, :]
     corr_y = _bump_autocorrelation(y.ravel(), rho.space_radius).reshape(y.shape)
-    inner = 2.0 * np.sqrt(2.0 * s) * (corr_y @ (uw * g))
+    inner = 2.0 * np.sqrt(2.0 * s) * (corr_y @ ug)
     # a = 2 int_0^smax A_t(sigma^2) G(sigma^2) 2 sigma dsigma
     return float(np.sum(2.0 * corr_s * inner * 2.0 * sigma) * wsigma)
 
@@ -282,7 +284,17 @@ def constant_a(rho: Mollifier, n: int) -> Tuple[float, float]:
     """
     if n < 1:
         raise ValueError(f"constant_a needs n >= 1 quadrature cells (n={n})")
-    coarse = _constant_a_single(rho, n)
-    fine = _constant_a_single(rho, 2 * n)
+    # inner rule, shared by both passes: Gauss-Legendre in u over [0, ucut];
+    # g decays like exp(-u^2)
+    ucut = 10.0
+    un, uw = np.polynomial.legendre.leggauss(96)
+    u = 0.5 * ucut * (un + 1.0)
+    uw = 0.5 * ucut * uw
+    # erfc, not 1 - erf: 1 - erf(u) rounds to 0 at 42 of the 96 nodes
+    erfc = np.array([math.erfc(node) for node in u])
+    g = 0.5 * erfc - (2.0 / math.sqrt(math.pi)) * u * np.exp(-u * u)
+    ug = uw * g
+    coarse = _constant_a_single(rho, n, u, ug)
+    fine = _constant_a_single(rho, 2 * n, u, ug)
     value = (4.0 * fine - coarse) / 3.0
     return value, abs(fine - coarse) / 3.0

@@ -160,19 +160,80 @@ class TestRobin:
 
 class TestMollifier:
     def test_unit_mass(self):
+        # 4-node Gauss-Legendre is exact for the degree-6 bump in each dimension
+        nodes, weights = np.polynomial.legendre.leggauss(4)
         for rho in (kernels.Mollifier(1.0, 1.0), kernels.Mollifier(0.5, 0.7)):
-            s = np.linspace(-rho.time_radius, rho.time_radius, 4001)
-            y = np.linspace(-rho.space_radius, rho.space_radius, 4001)
+            s, ws = rho.time_radius * nodes, rho.time_radius * weights
+            y, wy = rho.space_radius * nodes, rho.space_radius * weights
             vals = (rho.bump(s[:, None] / rho.time_radius) * rho.bump(y[None, :] / rho.space_radius)
                     / (rho.time_radius * rho.space_radius))
-            mass = np.trapezoid(np.trapezoid(vals, y, axis=1), s)
-            assert abs(mass - 1.0) < 1e-5
+            mass = ws @ vals @ wy
+            assert abs(mass - 1.0) < 1e-14
 
     def test_support(self):
         bump = kernels.Mollifier.bump
         assert bump(0.51 / 0.5) == 0.0
         assert bump(0.71 / 0.7) == 0.0
         assert bump(0.0) > 0.0
+
+
+def _quadrature_autocorrelation(z, radius):
+    """A_r(z) by 13-node Gauss-Legendre over the overlap of the two bumps,
+    exact for the degree-12 integrand up to rounding: the closed form's
+    reference, built on ``Mollifier.bump``."""
+    z = np.asarray(z, dtype=float) / radius
+    lo = np.maximum(-1.0, z - 1.0)
+    hi = np.minimum(1.0, z + 1.0)
+    nodes, weights = np.polynomial.legendre.leggauss(13)
+    mid = 0.5 * (lo + hi)
+    half = np.clip(0.5 * (hi - lo), 0.0, None)
+    w = mid[:, None] + half[:, None] * nodes[None, :]
+    vals = kernels.Mollifier.bump(w - z[:, None]) * kernels.Mollifier.bump(w)
+    return (vals @ weights) * half / radius
+
+
+RADII = (1.0, 0.7, 0.5)
+
+
+def _autocorrelation_grid(radius):
+    """z over [-2.5r, 2.5r], with 0, +-2r and points past 2r included."""
+    return radius * np.concatenate([np.linspace(-2.5, 2.5, 1001), [0.0, 2.0, -2.0, 3.0, -7.0]])
+
+
+class TestBumpAutocorrelation:
+    def test_coefficients_are_the_exact_integral(self):
+        import sympy
+
+        w, z, p = sympy.symbols("w z p")
+        b = lambda x: sympy.Rational(35, 32) * (1 - x**2) ** 3  # noqa: E731
+        # for 0 <= z <= 2 the bumps overlap on [z - 1, 1]
+        exact = sympy.integrate(b(w - z) * b(w), (w, z - 1, 1))
+        centred = sympy.Poly(sympy.expand(exact.subs(z, p + 1)), p).all_coeffs()[::-1]
+        assert len(centred) == len(kernels._AUTOCORRELATION_COEFFS) == 14
+        for coeff, rational in zip(kernels._AUTOCORRELATION_COEFFS, centred):
+            assert coeff == int(rational.p) / int(rational.q)
+
+    @pytest.mark.parametrize("radius", RADII)
+    def test_matches_quadrature_of_the_bump(self, radius):
+        z = _autocorrelation_grid(radius)
+        closed = kernels._bump_autocorrelation(z, radius)
+        assert np.max(np.abs(closed - _quadrature_autocorrelation(z, radius))) < 1e-15 / radius
+
+    @pytest.mark.parametrize("radius", RADII)
+    def test_even_supported_and_normalised(self, radius):
+        z = _autocorrelation_grid(radius)
+        closed = kernels._bump_autocorrelation(z, radius)
+        assert np.array_equal(closed, kernels._bump_autocorrelation(-z, radius))
+        assert np.all(closed[np.abs(z) >= 2.0 * radius] == 0.0)
+        # the centred basis is accurate to ~1e-16 absolute, not relative: within
+        # an ulp of 2r, where A is ~1e-110, it can read -1e-17
+        assert np.all(closed[np.abs(z) < 2.0 * radius] > -1e-16 / radius)
+        peak = kernels._bump_autocorrelation(np.array([0.0]), radius)[0]
+        assert abs(peak - 350.0 / (429.0 * radius)) < 1e-15 / radius
+        # 7-node Gauss-Legendre is exact for the degree-13 polynomial on [0, 2r]
+        nodes, weights = np.polynomial.legendre.leggauss(7)
+        half = radius * weights @ kernels._bump_autocorrelation(radius * (nodes + 1.0), radius)
+        assert abs(2.0 * half - 1.0) < 1e-14
 
 
 class TestConstantA:
@@ -189,6 +250,15 @@ class TestConstantA:
     def test_narrow_mollifier(self):
         value, _ = kernels.constant_a(kernels.Mollifier(0.5, 0.7), n=128)
         assert abs(value - (-0.025673671293518146)) < 1e-9
+
+    @pytest.mark.parametrize("rho, n, before", [
+        (kernels.Mollifier(1.0, 1.0), 256, -0.027427505138328603),
+        (kernels.Mollifier(0.5, 0.7), 128, -0.025673671293533342),
+    ])
+    def test_value_of_the_quadrature_autocorrelation_kept(self, rho, n, before):
+        # `before`: the same quadrature with the 13-node rule for A
+        value, _ = kernels.constant_a(rho, n)
+        assert abs(value - before) < 1e-15
 
 
 class TestPropagators:
