@@ -7,6 +7,7 @@ Subpackages/modules:
 - ``grid``: the space and time grids shared by every numerical module.
 - ``kernels``: heat kernels on the line and on [0,1] (Neumann via images,
   Robin via a discrete semigroup) and the boundary renormalization constant.
+- ``streams``: the one rule from (seed, consumer, index) to a random stream.
 - ``shesolver``: Monte Carlo solver for the multiplicative stochastic heat
   equation with Robin boundaries, plus the Hopf-Cole map.
 - ``stationary``: samplers for the stationary measure (exact Brownian case,

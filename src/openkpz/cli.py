@@ -275,8 +275,7 @@ def cmd_sample_stationary(args) -> int:
         chain = ("rho", "burn_in", "thinning", "n_samples")
         cfg = McmcConfig(seed=seed, **{key: resolved[key] for key in chain})
         z_est, z_se = stationary.estimate_normalization(
-            u, v, dx, resolved["normalization_samples"], seed + 1
-        )
+            u, v, dx, resolved["normalization_samples"], seed)
         result = stationary.sample_stationary_mcmc(u, v, cfg, dx)
         samples = result.samples
         sidecar = {

@@ -95,19 +95,19 @@ def stationarity_experiment(
 ) -> Tuple[TestReport, ...]:
     """KS-compare anchored marginals of a stationary start at times 0 and T.
 
-    The time-0 reference ensemble is drawn fresh and independently of the
-    evolved ensemble (2 n_samples draws, split), keeping the two KS samples
-    independent.  ``wrong_laws`` maps labels to further reference ensembles:
-    the one evolved ensemble is KS-tested against each as well.  Returns one
-    report per reference, the fresh reference's first.  A deliberately wrong
-    reference law is a control that must fail at any horizon: the dynamics
-    relax wrong starts, never wrong references.
+    The time-0 reference is the first half of 2 n_samples stationary draws and
+    the evolved start the second: independent at u + v = 0 (iid rows), two
+    stretches of one chain under pCN.  ``wrong_laws`` maps labels to further
+    reference ensembles: the one evolved ensemble is KS-tested against each.
+    Returns one report per reference, the fresh reference's first.  A
+    deliberately wrong reference law is a control that must fail at any
+    horizon: the dynamics relax wrong starts, never wrong references.
     """
     if n_samples < KS_MIN_SAMPLES:
         raise ValueError(f"n_samples = {n_samples}; the KS test needs at least {KS_MIN_SAMPLES}")
     t_final = snap_time(t_final, default_dt(dx))
     drawn = _initial_ensemble(u, v, 2 * n_samples, dx, seed)
-    (h_t,), exclusion_rate = _evolve(drawn[n_samples:], u, v, dx, seed + 1, (t_final,),
+    (h_t,), exclusion_rate = _evolve(drawn[n_samples:], u, v, dx, seed, (t_final,),
                                      KS_MIN_SAMPLES)
 
     n = grid_size(dx)
@@ -163,7 +163,9 @@ def ergodic_average(
     n_reference: int = 4000,
     sample_stride: int = 8,
 ) -> TestReport:
-    """Time average of F along one long stationary path vs. the ensemble mean."""
+    """Time average of F along one long stationary path vs. the ensemble mean: of
+    n_reference + 1 stationary draws, row 0 starts the path and the rest are the
+    ensemble, independent at u + v = 0 (iid rows), two stretches of one pCN chain."""
     if functional not in FUNCTIONALS:
         raise ValueError(f"unknown functional {functional!r}; choose from {sorted(FUNCTIONALS)}")
     if n_reference < 2:
@@ -179,14 +181,13 @@ def ergodic_average(
             f"t_final = {t_final} gives {len(saved_steps)} samples along the path; "
             f"the batch-means error needs at least {BATCHES}"
         )
-    h0 = _initial_ensemble(u, v, 1, dx, seed)
-    h, _ = _evolve(h0, u, v, dx, seed + 1, tuple(k * dt for k in saved_steps))
+    drawn = _initial_ensemble(u, v, n_reference + 1, dx, seed)
+    h, _ = _evolve(drawn[0], u, v, dx, seed, tuple(k * dt for k in saved_steps))
     series = F(h[:, 0], dx)
     time_avg = float(series.mean())
     se_time = batch_means_se(series)
 
-    reference = _initial_ensemble(u, v, n_reference, dx, seed + 2)
-    ref_vals = F(anchor(reference), dx)
+    ref_vals = F(anchor(drawn[1:]), dx)
     ref_mean = float(ref_vals.mean())
     se_ref = float(ref_vals.std(ddof=1) / np.sqrt(n_reference))
     se = float(np.hypot(se_time, se_ref))

@@ -280,7 +280,7 @@ def constant_a(rho: Mollifier, n: int) -> Tuple[float, float]:
     """Boundary constant a = integral (rho_bar * rho)(s,y) F(s,y) ds dy.
 
     F is the bracket of ``_constant_a_single``.  Quadrature at n and 2n cells
-    with Richardson extrapolation; returns (value, error_estimate).
+    with Richardson extrapolation; returns (value, error_estimate >= 4 eps |value|).
     """
     if n < 1:
         raise ValueError(f"constant_a needs n >= 1 quadrature cells (n={n})")
@@ -297,4 +297,5 @@ def constant_a(rho: Mollifier, n: int) -> Tuple[float, float]:
     coarse = _constant_a_single(rho, n, u, ug)
     fine = _constant_a_single(rho, 2 * n, u, ug)
     value = (4.0 * fine - coarse) / 3.0
-    return value, abs(fine - coarse) / 3.0
+    # Richardson misses rounding: computing A another way moved a by 2.3 eps |a|
+    return value, max(abs(fine - coarse) / 3.0, 4.0 * np.finfo(float).eps * abs(value))

@@ -8,8 +8,8 @@ the Ito forcing is Z_j eta_j sqrt(dt/dx) per cell and step with independent
 standard Gaussians (the space-time white noise discretization).  Paths that
 lose positivity are flagged and excluded from statistics, never clamped.
 
-Determinism and threads: noise streams are derived from (seed, chunk index)
-with a fixed chunk size of paths.  The chunks run concurrently, one thread
+Determinism and threads: chunk i of RNG_CHUNK paths draws the noise stream
+(seed, SHE_NOISE, i) of ``streams``.  The chunks run concurrently, one thread
 each up to the number of usable CPUs, and every chunk steps only its own
 paths with its own stream through a step that holds no shared mutable state,
 so results are bit-identical for a given seed whatever the thread count.
@@ -33,6 +33,7 @@ from typing import Dict, Tuple
 import numpy as np
 from scipy.linalg.lapack import dpttrs
 
+from openkpz import streams
 from openkpz.grid import check_time, default_dt, grid_size, time_steps
 from openkpz.kernels import CrankNicolson, end_weights, robin_laplacian
 
@@ -118,10 +119,6 @@ class SheResult:
         return self.snapshots[t][~self.positivity_lost]
 
 
-def _noise_stream(seed: int, chunk: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, chunk]))
-
-
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -192,7 +189,7 @@ def simulate_she(z0: np.ndarray, params: BoundaryParams, cfg: SimConfig) -> SheR
     def run_chunk(chunk_idx: int) -> None:
         start = chunk_idx * RNG_CHUNK
         stop = min(start + RNG_CHUNK, cfg.n_paths)
-        rng = _noise_stream(cfg.seed, chunk_idx)
+        rng = streams.stream(cfg.seed, streams.SHE_NOISE, chunk_idx)
         if 0 in saves:
             snaps[saves[0]][start:stop] = z_all[start:stop]
         y = z_all[start:stop] * step.scale  # W^1/2 z, with z's signs and finiteness

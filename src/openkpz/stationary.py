@@ -12,9 +12,9 @@ according to a density against a variance-1/2 Brownian motion:
 beta is sampled by preconditioned Crank-Nicolson (pCN) Metropolis, whose
 proposal preserves the Gaussian reference exactly, so acceptance uses only
 the weight ratio.  The proposal noise does not depend on the state, so the
-chain draws it NOISE_ROWS steps at a time from the seed's stream, and the
-acceptance uniforms as many at a time from a child stream spawned from the
-seed's generator: no bit depends on the block size.
+chain draws it NOISE_ROWS steps at a time from its stream of the seed, and the
+acceptance uniforms as many at a time from theirs; W has a third stream
+(``streams``, as every draw here): no bit depends on the block size.
 
 The importance-sampling cross-check oracles stream N iid reference paths
 beta in row blocks, bit-identical to a full-size draw, and draw W only at
@@ -33,6 +33,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from openkpz import streams
 from openkpz.grid import grid_size
 
 # Rows per block; no bit depends on it.  The pipelined pass over 300 000 paths
@@ -80,7 +81,7 @@ def sample_bm_drift(u: float, dx: float, n_samples: int, seed: int) -> np.ndarra
     """
     if n_samples < 1:
         raise ValueError(f"n_samples = {n_samples}: need at least 1 path")
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    rng = streams.stream(seed, streams.BM_DRIFT)
     return _grid_paths(rng.normal(u * dx, np.sqrt(dx), size=(n_samples, grid_size(dx))))
 
 
@@ -181,8 +182,8 @@ def sample_stationary_mcmc(
     """pCN Metropolis chain for beta, with target weight ``rn_log_weight``;
     output samples h = W + beta."""
     check_regime(u, v)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
-    accept_rng = rng.spawn(1)[0]
+    rng = streams.stream(cfg.seed, streams.PCN_PROPOSALS)
+    accept_rng = streams.stream(cfg.seed, streams.PCN_ACCEPT)
     root = np.sqrt(1.0 - cfg.rho**2)
     beta = brownian_half(dx, 1, rng)[0]
     current_logw = float(rn_log_weight(beta, u, v, dx))
@@ -209,7 +210,7 @@ def sample_stationary_mcmc(
             kept, offset = divmod(step - cfg.burn_in, cfg.thinning)
             if kept >= 0 and offset == 0:
                 beta_samples[kept] = beta
-    w_fresh = brownian_half(dx, cfg.n_samples, rng)
+    w_fresh = brownian_half(dx, cfg.n_samples, streams.stream(cfg.seed, streams.PCN_FRESH_W))
     return McmcResult(
         samples=w_fresh + beta_samples,
         beta_samples=beta_samples,
@@ -249,8 +250,8 @@ def _add_brownian_half_at(h, dx, rng, x_indices) -> None:
 
 
 def _reference_pass(u, v, dx, n_samples, seed, x_indices=()):
-    """logw of n_samples block-drawn paths, their x_indices values F-ordered as a full draw,
-    and the seed's generator, which has drawn exactly the paths.
+    """logw of n_samples paths block-drawn from the seed's REFERENCE_BETA stream, and
+    their x_indices values F-ordered as a full draw.
 
     A one-worker ThreadPoolExecutor draws block i's increments into buffer
     i % 2, two draws in flight: this thread cumulates block i into a reused
@@ -264,7 +265,7 @@ def _reference_pass(u, v, dx, n_samples, seed, x_indices=()):
         raise ValueError(f"n_samples = {n_samples}: need at least 2 reference paths")
     from concurrent.futures import ThreadPoolExecutor  # here, not at module import
 
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    rng = streams.stream(seed, streams.REFERENCE_BETA)
     starts = range(0, n_samples, BLOCK_ROWS)
     logw, kept = np.empty(n_samples), np.empty((n_samples, len(x_indices)), order="F")
     paths = np.zeros((min(BLOCK_ROWS, n_samples), grid_size(dx) + 1))
@@ -279,7 +280,7 @@ def _reference_pass(u, v, dx, n_samples, seed, x_indices=()):
                 draws.append(pool.submit(_half_increments, rng, outs[i + 2], dx))
             logw[start : start + len(beta)] = rn_log_weight(beta, u, v, dx)
             kept[start : start + len(beta)] = beta[:, x_indices]
-    return logw, kept, rng
+    return logw, kept
 
 
 def estimate_normalization(
@@ -320,8 +321,8 @@ def importance_sampling_moments(
     """
     check_regime(u, v)
     x_indices = _grid_indices(x_indices, dx)
-    logw, h, rng = _reference_pass(u, v, dx, n_samples, seed, x_indices)
-    _add_brownian_half_at(h, dx, rng, x_indices)
+    logw, h = _reference_pass(u, v, dx, n_samples, seed, x_indices)
+    _add_brownian_half_at(h, dx, streams.stream(seed, streams.REFERENCE_W), x_indices)
     logw -= logw.max()
     weights = np.exp(logw)
     weights /= weights.sum()

@@ -128,13 +128,15 @@ def test_detector_finds_an_uncalled_private_name():
 
 # Modules a fresh import must not load: each is imported inside the function that uses it.
 DEFERRED = {
-    "openkpz.stationary": ("concurrent.futures", "scipy", "sympy"),
+    # numpy.random loads on first use, not with numpy: an evaluated annotation costs 12 ms
+    "openkpz.stationary": ("concurrent.futures", "numpy.random", "scipy", "sympy"),
+    "openkpz.streams": ("scipy", "sympy", "concurrent.futures", "numpy.random"),
     "openkpz.harness": ("scipy.stats", "sympy"),
     "openkpz.kernels": ("scipy.special", "sympy"),
     # exact coefficients are Poly values; sympy is only the tests' oracle
     "openkpz.treealg": ("sympy",),
     # so --help and a bad flag answer without loading them
-    "openkpz.cli": ("scipy", "sympy", "concurrent.futures"),
+    "openkpz.cli": ("scipy", "sympy", "concurrent.futures", "numpy.random"),
 }
 
 

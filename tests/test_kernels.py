@@ -251,6 +251,12 @@ class TestConstantA:
         value, _ = kernels.constant_a(kernels.Mollifier(0.5, 0.7), n=128)
         assert abs(value - (-0.025673671293518146)) < 1e-9
 
+    def test_error_estimate_covers_rounding(self):
+        # |fine - coarse| / 3 reads 1.2e-18 here, but rounding alone moves a by 1.4e-17
+        value, err = kernels.constant_a(kernels.Mollifier(1.0, 1.0), 256)
+        assert value == -0.02742750513832859
+        assert err >= 4.0 * np.finfo(float).eps * abs(value) > 1.4e-17
+
     @pytest.mark.parametrize("rho, n, before", [
         (kernels.Mollifier(1.0, 1.0), 256, -0.027427505138328603),
         (kernels.Mollifier(0.5, 0.7), 128, -0.025673671293533342),

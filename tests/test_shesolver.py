@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from openkpz import shesolver
+from openkpz import shesolver, streams
 from openkpz.grid import MAX_STEPS, default_dt, grid_size, snap_time, time_steps
 from openkpz.kernels import CrankNicolson, robin_laplacian
 from openkpz.shesolver import BoundaryParams, SimConfig, simulate_she
@@ -334,7 +334,7 @@ def _one_draw_per_step(z0, params, cfg):
     lost = np.zeros(cfg.n_paths, dtype=bool)
     for chunk, start in enumerate(range(0, cfg.n_paths, shesolver.RNG_CHUNK)):
         rows = slice(start, start + shesolver.RNG_CHUNK)
-        rng = shesolver._noise_stream(cfg.seed, chunk)
+        rng = streams.stream(cfg.seed, streams.SHE_NOISE, chunk)
         y = z_all[rows] * step.scale
         for k in range(1, cfg.n_steps + 1):
             y = step(y, rng.standard_normal(y.shape) * y * np.sqrt(cfg.dt / cfg.dx))
@@ -356,8 +356,8 @@ class TestBlocks:
     # SHA-256 of the snapshots in time order and then the flags, as
     # _one_draw_per_step gave them (numpy 2.4, scipy 1.17, x86-64): block draws
     # and the in-place step must give every bit.
-    PINNED = {"single-path": "b5f9e847020043c02f26d3f94ac2db045db35ac85982fdba900d88e27cfbf1ef",
-              "multi-chunk": "6d608cbdb27704a342f87109709c8dce91e9753c6b276a315e33d2d4448236db"}
+    PINNED = {"single-path": "3f18fe0729fd6c344a81915fb5a9767a90d3c218b65983d9a0c234081deac24a",
+              "multi-chunk": "ab92ec9c30772a66771e744f66fff964bb93ead782b81be27d967bcb63a190ca"}
     RUNS = pytest.mark.parametrize("name, run", [("single-path", _single_path),
                                                  ("multi-chunk", _multi_chunk)])
 

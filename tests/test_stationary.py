@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from openkpz import stationary
+from openkpz import stationary, streams
 from openkpz.stationary import (
     BLOCK_ROWS,
     McmcConfig,
@@ -86,17 +86,18 @@ class TestRnWeight:
 
 def _one_step_at_a_time(u, v, cfg, dx):
     """The pCN chain's reference: each step draws its proposal's normals on the
-    seed's generator and one uniform on its spawned child, and weighs the proposal once."""
+    proposal stream and one uniform on the acceptance stream, and weighs the
+    proposal once; W comes from a third stream of the seed."""
     n = round(1 / dx)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
-    accept = rng.spawn(1)[0]
+    rng = streams.stream(cfg.seed, streams.PCN_PROPOSALS)
+    accept = streams.stream(cfg.seed, streams.PCN_ACCEPT)
 
-    def brownian_half(rows):
+    def brownian_half(rows, rng):
         out = np.zeros((rows, n + 1))
         out[:, 1:] = np.cumsum(rng.standard_normal((rows, n)) * np.sqrt(dx / 2.0), axis=1)
         return out
 
-    beta = brownian_half(1)[0]
+    beta = brownian_half(1, rng)[0]
     logw = float(stationary.rn_log_weight(beta, u, v, dx))
     accepted, series, kept = 0, [], []
     for step in range(cfg.chain_length):
@@ -111,7 +112,8 @@ def _one_step_at_a_time(u, v, cfg, dx):
         if step >= cfg.burn_in and (step - cfg.burn_in) % cfg.thinning == 0:
             kept.append(beta)
     beta_samples = np.array(kept)
-    return McmcResult(brownian_half(cfg.n_samples) + beta_samples, beta_samples,
+    w_fresh = brownian_half(cfg.n_samples, streams.stream(cfg.seed, streams.PCN_FRESH_W))
+    return McmcResult(w_fresh + beta_samples, beta_samples,
                       accepted / cfg.chain_length,
                       stationary._integrated_autocorr(np.array(series[cfg.burn_in:])), cfg)
 
@@ -153,12 +155,12 @@ class TestMcmc:
     # draws of the proposal noise and of the uniforms must give every bit.  No
     # pinned value passes through BLAS, so no OpenBLAS kernel choice moves them.
     PINNED = {
-        False: ("f48d1fbe0e87a81b2eefd599b605b22e8c6fcb3818ed4d65056c2f838504a3b7",
-                "dc58301bb89105acbc662a740f1af0c3d14bd64cc8cdb9e4c1c6b1bd8daa9048",
-                "d8d497b673471bcf510d317959b955b2d159030b99575a21d1235be8ba44c15c",
-                "149dd4142dcb382763d2091a70efff34c91d42cedd5da84e78112e41e1ce079e"),
-        True: ("b76847c321696c189f426d50f3a7022e9c6cef632f4c7013a018283789034987",
-               "227fff58e3f32db5d928fd2f50bc9f882b37b6f7eeea1a0a89f738effa25b0c5",
+        False: ("16e98af2ea21d3b66a95a8d822d3dd1d2f814caa2dc3503e10d1aaaedf982689",
+                "ca511ea71bb8a6b655fabcd6db60f62caf37970fb3a602e6c0ca776a61fb964e",
+                "c2edb40633612b356dbab79b8e4e4858e1744a695a9d9d1ce815670af93ba712",
+                "d84d739f03a7c20bb08f02d09c8e9defdcdb4959aaa13af566451ac9cf16e530"),
+        True: ("3070ddc9ab7a50b1c19433676f1930707340f7de50e3edf6a8893c5ad6d61b73",
+               "ca4f98e81f05c23d1e8449564514a86169a78a64609a84b3e5a413719561eb8c",
                "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
                "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712"),
     }
@@ -288,9 +290,6 @@ class TestBrownianAtPoints:
 
 def _full_draw_reference(u, v, dx, n_samples, seed, x_indices):
     """The oracles as full-size draws: every beta path held at once, W at the points."""
-    def generator():
-        return np.random.default_rng(np.random.SeedSequence([seed]))
-
     def brownian_half(n, rng):
         out = np.zeros((n, round(1 / dx) + 1))
         np.cumsum(rng.normal(0.0, np.sqrt(dx / 2.0), size=(n, round(1 / dx))), axis=1,
@@ -301,12 +300,12 @@ def _full_draw_reference(u, v, dx, n_samples, seed, x_indices):
         integral = np.trapezoid(np.exp(-2.0 * beta), dx=dx, axis=-1)
         return -2.0 * v * beta[..., -1] - (u + v) * np.log(integral)
 
-    rng = generator()
-    beta = brownian_half(n_samples, rng)
+    beta = brownian_half(n_samples, streams.stream(seed, streams.REFERENCE_BETA))
     # W only at the distinct sorted points: independent increments over the gaps
     points = sorted(set(x_indices))
     gaps = np.diff([0] + points)
-    w_points = np.cumsum(rng.normal(0.0, np.sqrt(gaps * dx / 2.0), size=(n_samples, len(points))),
+    w = streams.stream(seed, streams.REFERENCE_W)
+    w_points = np.cumsum(w.normal(0.0, np.sqrt(gaps * dx / 2.0), size=(n_samples, len(points))),
                          axis=1)
     h = beta[:, list(x_indices)] + w_points[:, [points.index(j) for j in x_indices]]
     logw = log_weight(beta)
@@ -324,8 +323,9 @@ def _full_draw_reference(u, v, dx, n_samples, seed, x_indices):
         "ess": ess,
         "max_weight": float(weights.max()),
     }
-    # the normalization draws beta alone from a fresh generator of the same seed
-    z_weights = np.exp(log_weight(brownian_half(n_samples, generator())))
+    # the normalization draws the same beta paths, on a fresh generator of their stream
+    z_weights = np.exp(log_weight(brownian_half(n_samples,
+                                                streams.stream(seed, streams.REFERENCE_BETA))))
     z = (float(z_weights.mean()), float(z_weights.std(ddof=1) / np.sqrt(n_samples)))
     return moments, z
 
@@ -421,11 +421,11 @@ class TestStreamedOracles:
             importance_sampling_moments(1.0, 1.0, 1.0 / 16, n_samples, seed=0, x_indices=[16])
 
     # SHA-256 of the float64 bytes of the moments (mean, var, mean_se, var_se,
-    # ess, max_weight in turn) and of (estimate, se), as the single-threaded
-    # block pass gave them (numpy 2.4, x86-64): the helper-thread pipeline
-    # must give every bit whatever the scheduling.
-    PINNED_IS = "bd4681d24601a70a608808fac2b285fcfd253627adeb90ace69137daa64dc306"
-    PINNED_Z = "7c3354a5857cd0f329e00929752342272a8f6757a8ef82e37e31edfc66727966"
+    # ess, max_weight in turn) and of (estimate, se), as _full_draw_reference
+    # gave them (numpy 2.4, x86-64): the helper-thread pipeline must give every
+    # bit whatever the scheduling.
+    PINNED_IS = "c025f9d7f776c9586687cf3a3cc55165cf2934959d390159610a96d0b2d7fde2"
+    PINNED_Z = "a0925e8bff269816baa1e2c46d1eba2b94ccf72e96b4494048da67283adf11c9"
 
     def test_oracle_bytes_pinned(self):
         moments = importance_sampling_moments(1.0, 1.0, 1.0 / 64, 300_000, 7, [32, 64])
