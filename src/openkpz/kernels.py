@@ -6,9 +6,9 @@ the image sum; the Robin kernel is computed as a discrete semigroup:
 Rannacher-started Crank-Nicolson with centered ghost points, evaluated in
 closed form from one eigendecomposition of the Laplacian symmetrised by the
 ghost points' end weights W, so m steps cost one diagonal power and not m
-solves.  The constant `a` is a quadrature of the mollifier autocorrelation,
-taken in closed form as an exact polynomial, against an explicit bracket
-built from the error function and the whole-line kernel.
+solves; only the reference step, factored when called, solves by sparse LU.
+The constant `a` is a quadrature of the mollifier autocorrelation, in closed
+form as an exact polynomial, against a bracket of erf and the whole-line kernel.
 """
 
 from __future__ import annotations
@@ -76,24 +76,24 @@ def neumann_kernel_spectral(t, x, y) -> np.ndarray:
     return total
 
 
-def robin_laplacian(n: int, u: float, v: float) -> sparse.csr_matrix:
-    """Discrete (1/2) d^2/dx^2 on n+1 points of [0,1] with Robin ghost points.
+def robin_laplacian(n: int, u: float, v: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Discrete (1/2) d^2/dx^2 on n+1 points of [0,1] with Robin ghost points, as the
+    bands (diagonal, off_diagonal) of the symmetric S = W^1/2 L W^-1/2 (``end_weights``).
 
-    Ghost elimination: Z_{-1} = Z_1 - 2 dx (u - 1/2) Z_0 and
-    Z_{n+1} = Z_{n-1} - 2 dx (v - 1/2) Z_n.
+    Ghost elimination Z_{-1} = Z_1 - 2 dx (u - 1/2) Z_0, Z_{n+1} = Z_{n-1} - 2 dx (v - 1/2) Z_n
+    gives L's rows, times 2 dx^2: [-2 - 2 dx (u - 1/2), 2], then [1, -2, 1] inside, then
+    [2, -2 - 2 dx (v - 1/2)]; S keeps L's diagonal, and L[i, i+1] (W_i / W_{i+1})^1/2 above it.
     """
     if not (math.isfinite(u) and math.isfinite(v)):
         raise ValueError(f"boundary slopes must be finite (u={u}, v={v})")
     dx = 1.0 / n
     main = np.full(n + 1, -2.0)
-    lower = np.ones(n)
     upper = np.ones(n)
     main[0] -= 2.0 * dx * (u - 0.5)
     main[-1] -= 2.0 * dx * (v - 0.5)
     upper[0] = 2.0
-    lower[-1] = 2.0
-    L = sparse.diags([lower, main, upper], offsets=[-1, 0, 1], format="csr")
-    return (0.5 / dx**2) * L
+    scale = np.sqrt(end_weights(n))
+    return (0.5 / dx**2) * main, (0.5 / dx**2) * upper * scale[:-1] / scale[1:]
 
 
 def end_weights(n: int) -> np.ndarray:
@@ -110,22 +110,20 @@ def end_weights(n: int) -> np.ndarray:
 class CrankNicolson:
     """Propagator of dZ/dt = L Z by (I - dt/2 L) Z' = (I + dt/2 L) Z.
 
-    L is self-adjoint in W (``end_weights``), so S = W^1/2 L W^-1/2 is a
-    symmetric tridiagonal matrix with eigendecomposition Q diag(lam) Q^T,
-    computed once here.  m steps are then one diagonal power,
+    ``laplacian`` is ``robin_laplacian``'s bands of S = W^1/2 L W^-1/2, whose eigendecomposition
+    Q diag(lam) Q^T is computed once here.  m steps are then one diagonal power,
     W^-1/2 Q diag(r^m) Q^T W^1/2 with r = (1 + dt/2 lam) / (1 - dt/2 lam).
-    ``step`` and ``step_with_forcing`` solve one step by sparse LU instead.
+    ``step`` and ``step_with_forcing`` are the reference step, factored when called.
     """
 
-    def __init__(self, L: sparse.spmatrix, dt: float):
+    def __init__(self, laplacian: Tuple[np.ndarray, np.ndarray], dt: float):
         if dt <= 0:
             raise ValueError("time step must be positive")
         self.dt = dt
-        n = L.shape[0]
+        self._bands = diagonal, off = laplacian
+        n = len(diagonal)
         self._scale = np.sqrt(end_weights(n - 1))
-        off = L.diagonal(1) * self._scale[:-1] / self._scale[1:]  # both sides: S = S^T exactly
-        S = np.diag(L.diagonal()) + np.diag(off, 1) + np.diag(off, -1)
-        lam, self._modes = np.linalg.eigh(S)
+        lam, self._modes = np.linalg.eigh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
         implicit = 1.0 - 0.5 * dt * lam
         # eigh's eigenvalues are accurate to about n eps max|lam|, so within that of 0 is 0
         near = np.abs(implicit) <= n * np.finfo(float).eps * max(1.0, 0.5 * dt * np.abs(lam).max())
@@ -134,16 +132,17 @@ class CrankNicolson:
                              "to rounding)")
         self._implicit = 1.0 / implicit  # one implicit-Euler half-step per mode
         self._cn = (1.0 + 0.5 * dt * lam) * self._implicit  # one CN step per mode
-        eye = sparse.identity(n, format="csc")
-        self._solver = splu((eye - 0.5 * dt * L).tocsc())
-        self._explicit = (eye + 0.5 * dt * L).tocsr()
 
     def step(self, z: np.ndarray) -> np.ndarray:
-        return self._solver.solve(self._explicit @ z)
+        return self.step_with_forcing(z, np.zeros_like(z))
 
     def step_with_forcing(self, z: np.ndarray, forcing: np.ndarray) -> np.ndarray:
-        """(I - dt/2 L) z' = (I + dt/2 L) z + forcing."""
-        return self._solver.solve(self._explicit @ z + forcing)
+        """(I - dt/2 L) z' = (I + dt/2 L) z + forcing, by sparse LU on y = W^1/2 z."""
+        diagonal, off = self._bands
+        half = 0.5 * self.dt * sparse.diags([off, diagonal, off], [-1, 0, 1], format="csc")
+        eye = sparse.identity(len(diagonal), format="csc")
+        scale = self._scale[(slice(None),) + (None,) * (np.ndim(z) - 1)]
+        return splu(eye - half).solve((eye + half) @ (scale * z) + scale * forcing) / scale
 
     def _spectral(self, z: np.ndarray, factors: np.ndarray) -> np.ndarray:
         """W^-1/2 Q diag(factors) Q^T W^1/2 z for z of shape (n+1,) or (n+1, k)."""

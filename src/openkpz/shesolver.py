@@ -130,19 +130,20 @@ class _TridiagonalStep:
 
     With A = I - dt/2 L the step is the implicit midpoint rule
     z' = A^{-1}(2z + forcing) - z, so on y (``scale`` is W^1/2's diagonal) it
-    is y' = S^{-1}(2y + W^1/2 forcing) - y with the symmetric S = W^1/2 A W^-1/2.
-    S's LDL^T factors are computed once here, without pivoting or a test of
-    definiteness (A is indefinite for steep negative slopes); a zero pivot is
-    an error.  ``dpttrs`` solves the Fortran-ordered transposed (paths, n+1)
-    forcing in place and returns it (one that is not C-ordered is solved in a
-    copy); y is never written.  Threads may share the read-only instance, but
-    scipy's ``dpttrs`` holds the GIL, so their solves do not overlap.
+    is y' = S^{-1}(2y + W^1/2 forcing) - y with S = W^1/2 A W^-1/2, formed from
+    ``robin_laplacian``'s bands.  S's LDL^T factors are computed once here, without
+    pivoting or a test of definiteness (A is indefinite for steep negative slopes);
+    a zero pivot is an error.  ``dpttrs`` solves the Fortran-ordered transposed
+    (paths, n+1) forcing in place and returns it (one that is not C-ordered is
+    solved in a copy); y is never written.  Threads may share the read-only
+    instance, but scipy's ``dpttrs`` holds the GIL, so their solves do not overlap.
     """
 
-    def __init__(self, L, dt: float):
-        self.scale = np.sqrt(end_weights(L.shape[0] - 1))
-        d = (1.0 - 0.5 * dt * L.diagonal()).tolist()
-        e = (-0.5 * dt * L.diagonal(1) * self.scale[:-1] / self.scale[1:]).tolist()
+    def __init__(self, laplacian: Tuple[np.ndarray, np.ndarray], dt: float):
+        diagonal, off = laplacian
+        self.scale = np.sqrt(end_weights(len(off)))
+        d = (1.0 - 0.5 * dt * diagonal).tolist()
+        e = (-0.5 * dt * off).tolist()
         for i, ei in enumerate(e):  # dpttrf's recurrence, without its test d > 0
             if d[i] == 0.0:
                 break

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dense_laplacian import dense_laplacian
 from openkpz import kernels
 
 
@@ -143,14 +144,15 @@ class TestRobin:
                                       (300.0, -7.0)])
     def test_laplacian_self_adjoint_in_end_weights(self, n, u, v):
         # the ghost points give each end node half a cell: W = diag(1/2, 1, ..., 1, 1/2)
-        L = kernels.robin_laplacian(n, u, v).toarray()
+        L = dense_laplacian(n, u, v)
         w = kernels.end_weights(n)
         assert w.tolist() == [0.5] + [1.0] * (n - 1) + [0.5]
         assert np.array_equal(w[:, None] * L, (w[:, None] * L).T)
-        # so S = W^1/2 A W^-1/2 with A = I - dt/2 L is symmetric to rounding
-        A = np.eye(n + 1) - 0.25 / n**2 * L
-        S = np.sqrt(w)[:, None] * A / np.sqrt(w)
-        assert np.max(np.abs(S - S.T)) <= 4 * np.finfo(float).eps * np.max(np.abs(S))
+        # so S = W^1/2 L W^-1/2 is symmetric, and robin_laplacian returns its bands to rounding
+        S = np.sqrt(w)[:, None] * L / np.sqrt(w)
+        diagonal, off = kernels.robin_laplacian(n, u, v)
+        bands = np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1)
+        assert np.max(np.abs(S - bands)) <= 4 * np.finfo(float).eps * np.max(np.abs(S))
 
     @pytest.mark.parametrize("u, v", [(np.nan, 0.5), (0.5, np.inf)])
     def test_nonfinite_slope_rejected(self, u, v):
@@ -287,22 +289,22 @@ class TestPropagators:
         assert np.all(np.isfinite(rough))
         assert np.max(np.abs(np.diff(rough))) < 1.0  # no high-mode ringing
 
-    def test_rannacher_factors_once(self, monkeypatch):
-        calls = []
-        splu = kernels.splu
+    @staticmethod
+    def _no_splu(matrix):
+        raise AssertionError("splu was called")
 
-        def counting_splu(matrix):
-            calls.append(matrix.shape)
-            return splu(matrix)
-
-        monkeypatch.setattr(kernels, "splu", counting_splu)
-        kernels.RannacherPropagator(kernels.robin_laplacian(16, 1.0, 0.0), 1e-3)
-        assert len(calls) == 1
+    @pytest.mark.parametrize("propagator", [kernels.CrankNicolson, kernels.RannacherPropagator])
+    def test_building_and_advancing_call_no_splu(self, monkeypatch, propagator):
+        # only the reference step factors a sparse LU, and only when it is called
+        monkeypatch.setattr(kernels, "splu", self._no_splu)
+        prop = propagator(kernels.robin_laplacian(16, 1.0, 0.0), 1e-3)
+        assert np.all(np.isfinite(prop.advance(np.ones(17), 40)))
+        assert np.all(np.isfinite(kernels.robin_kernel(0.1, 1.0, 0.0, 16)))
 
     # The closed form against the sparse-LU step it replaces in ``advance``: the
     # reference is m calls of ``step``, Rannacher's first two each replaced by
-    # two implicit half-steps with the same LU factor.  At (-60, -60) and dx = 1/8
-    # the CN matrix I - dt/2 L is indefinite and some modes grow.
+    # two implicit half-steps solved with the dense I - dt/2 L.  At (-60, -60)
+    # and dx = 1/8 the CN matrix I - dt/2 L is indefinite and some modes grow.
     @pytest.mark.parametrize("columns", [(), (3,)], ids=["vector", "matrix"])
     @pytest.mark.parametrize("n_steps", [0, 1, 2, 3, 40])
     @pytest.mark.parametrize("u, v, n", [(0.5, 0.5, 32), (1.0, 0.0, 32), (-0.5, 2.0, 32),
@@ -310,10 +312,11 @@ class TestPropagators:
     @pytest.mark.parametrize("propagator", [kernels.CrankNicolson, kernels.RannacherPropagator])
     def test_closed_form_matches_steps(self, propagator, u, v, n, n_steps, columns):
         prop = propagator(kernels.robin_laplacian(n, u, v), 0.5 / n**2)
+        implicit = np.eye(n + 1) - 0.5 * prop.dt * dense_laplacian(n, u, v)
         want = z = np.random.default_rng(n).normal(size=(n + 1, *columns))
         for k in range(n_steps):
             if propagator is kernels.RannacherPropagator and k < kernels.RANNACHER_STEPS:
-                want = prop._solver.solve(prop._solver.solve(want))
+                want = np.linalg.solve(implicit, np.linalg.solve(implicit, want))
             else:
                 want = prop.step(want)
         got = prop.advance(z, n_steps)
@@ -323,7 +326,8 @@ class TestPropagators:
     def test_advance_takes_no_steps(self, monkeypatch):
         # a horizon of 10^7 steps costs one diagonal power, and nothing is solved
         prop = kernels.RannacherPropagator(kernels.robin_laplacian(16, 1.0, 1.0), 1e-3)
-        monkeypatch.setattr(prop, "_solver", None)
+        monkeypatch.setattr(kernels, "splu", self._no_splu)
+        monkeypatch.setattr(prop, "step_with_forcing", None)
         monkeypatch.setattr(prop, "step", None)
         out = prop.advance(np.ones(17), 10**7)  # t = 10^4: every mode has decayed
         assert np.all(np.isfinite(out)) and np.max(np.abs(out)) < 1e-300
@@ -331,10 +335,12 @@ class TestPropagators:
     @pytest.mark.parametrize("propagator", [kernels.CrankNicolson, kernels.RannacherPropagator])
     def test_singular_implicit_matrix_is_named(self, propagator):
         # n = 1, u = v = -3/2: L = [[1, 1], [1, 1]] has the eigenvalue 2 = 2/dt at dt = 1
-        L = kernels.robin_laplacian(1, -1.5, -1.5)
-        assert np.array_equal(L.toarray(), np.ones((2, 2)))
+        assert np.array_equal(dense_laplacian(1, -1.5, -1.5), np.ones((2, 2)))
+        # W = I/2 is a multiple of I, so the symmetric form is L itself
+        laplacian = kernels.robin_laplacian(1, -1.5, -1.5)
+        assert [band.tolist() for band in laplacian] == [[1.0, 1.0], [1.0]]
         with pytest.raises(ValueError, match=r"I - dt/2 L is singular \(L's eigenvalue "):
-            propagator(L, 1.0)  # not a divide warning: the suite turns warnings into errors
+            propagator(laplacian, 1.0)  # not a divide warning: the suite turns warnings into errors
 
     @pytest.mark.parametrize("t, u, v, n", [(0.1, 0.5, 0.5, 64), (1.0, 1.0, 1.0, 64),
                                             (0.1, -0.5, 2.0, 32), (0.02, -60.0, -60.0, 8)])

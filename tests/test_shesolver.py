@@ -7,8 +7,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from scipy import sparse
 
+from dense_laplacian import dense_laplacian
 from openkpz import shesolver, streams
 from openkpz.grid import MAX_STEPS, default_dt, grid_size, snap_time, time_steps
 from openkpz.kernels import CrankNicolson, robin_laplacian
@@ -153,21 +153,20 @@ class TestDeterministicLimit:
         # z' = A^{-1}(2z + forcing) - z with A = I - dt/2 L; at (-60, -60) and
         # dx = 1/8 A is indefinite, and its pivot-free LDL^T must still hold
         n, dt = grid_size(dx), default_dt(dx)
-        L = robin_laplacian(n, u, v)
-        A = np.eye(n + 1) - 0.5 * dt * L.toarray()
+        A = np.eye(n + 1) - 0.5 * dt * dense_laplacian(n, u, v)
         rng = np.random.default_rng(8)
         z = np.exp(rng.normal(size=(6, n + 1)))
         forcing = 0.3 * rng.normal(size=z.shape) * z
         want = np.linalg.solve(A, (2 * z + forcing).T).T - z
-        step = shesolver._TridiagonalStep(L, dt)
+        step = shesolver._TridiagonalStep(robin_laplacian(n, u, v), dt)
         got = step(z * step.scale, forcing * step.scale) / step.scale
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_zero_pivot_is_singular(self):
         # A = I - dt/2 L with L's first diagonal entry 2/dt has A[0, 0] = 0
-        L = sparse.diags([[1.0, 1.0], [4.0, -2.0, -2.0], [1.0, 1.0]], [-1, 0, 1])
+        bands = np.array([4.0, -2.0, -2.0]), np.array([1.0, 1.0])
         with pytest.raises(ValueError, match=r"I - dt/2 L is singular \(zero pivot at node 0\)"):
-            shesolver._TridiagonalStep(L, 0.5)
+            shesolver._TridiagonalStep(bands, 0.5)
 
     def test_oracle_rejects_dx_that_does_not_divide_one(self):
         # 1/0.03 is not an integer: the grid of 34 values and dt = dx^2/2
