@@ -4,19 +4,18 @@ Scheme: semi-implicit Euler-Maruyama.  The linear part (1/2) d^2/dx^2 with
 Robin ghost points is treated by Crank-Nicolson, written as the implicit
 midpoint rule so that a step is one symmetric tridiagonal solve on the scaled
 state y = W^1/2 z, W = diag(1/2, 1, ..., 1, 1/2), in which L is self-adjoint;
-the Ito forcing is Z_j eta_j sqrt(dt/dx) per cell and step with independent
-standard Gaussians (the space-time white noise discretization).  Paths that
-lose positivity are flagged and excluded from statistics, never clamped.
+the Ito forcing Z_j eta_j s, s = sqrt(dt/dx), with independent standard Gaussians eta
+per cell and step (space-time white noise) enters as the factor c = 2 + s eta.  Paths
+that lose positivity are flagged and excluded from statistics, never clamped.
 
 Determinism and threads: chunk i of RNG_CHUNK paths draws the noise stream
 (seed, SHE_NOISE, i) of ``streams``.  The chunks run concurrently, one thread
 each up to the number of usable CPUs, and every chunk steps only its own
 paths with its own stream through a step that holds no shared mutable state,
 so results are bit-identical for a given seed whatever the thread count.
-A chunk draws the noise of K steps at once into a reused block and builds
-each step's forcing, and then its new state, in place in that step's noise
-row; one draw of K steps is the same stream as K draws of one, so the output
-does not depend on the block size either.
+A chunk draws the noise of K steps at once into a reused block, turns it into factors in
+one pass and builds each step's new state in place in its row; one draw of K steps
+is the same stream as K draws of one, so the output does not depend on the block size either.
 The one-force coupling is two runs with the same seed, same config: the
 noise does not depend on the initial data.
 The step solves with LAPACK's ``dpttrs``, which calls no BLAS but holds the
@@ -39,9 +38,9 @@ from openkpz.kernels import CrankNicolson, end_weights, robin_laplacian
 
 RNG_CHUNK = 512  # paths per independent noise stream
 # Noise bytes per block draw; no bit depends on it.  It gives K = 248 steps for
-# one path at dx = 1/32, where a step takes 6.2 us against 9.3 us at K = 1, and
-# K = 1 at 512 x 65, where K = 8 was no faster (933 against 821 us a step);
-# medians of alternating rounds on 2 vCPUs, one BLAS thread.
+# one path at dx = 1/32, where a step takes 4.3 us against 13.4 us at K = 1, and
+# K = 1 at 512 x 65, where K = 8 was no faster (1246 against 1211 us a step,
+# 2 chunks); medians of alternating rounds on 2 vCPUs, one BLAS thread.
 _BLOCK_BYTES = 1 << 16
 
 
@@ -126,17 +125,17 @@ def _usable_cpus() -> int:
 
 
 class _TridiagonalStep:
-    """One Crank-Nicolson step (I - dt/2 L) z' = (I + dt/2 L) z + forcing, on y = W^1/2 z.
+    """One Crank-Nicolson step (I - dt/2 L) z' = (I + dt/2 L) z + s eta z, on y = W^1/2 z.
 
-    With A = I - dt/2 L the step is the implicit midpoint rule
-    z' = A^{-1}(2z + forcing) - z, so on y (``scale`` is W^1/2's diagonal) it
-    is y' = S^{-1}(2y + W^1/2 forcing) - y with S = W^1/2 A W^-1/2, formed from
-    ``robin_laplacian``'s bands.  S's LDL^T factors are computed once here, without
-    pivoting or a test of definiteness (A is indefinite for steep negative slopes);
-    a zero pivot is an error.  ``dpttrs`` solves the Fortran-ordered transposed
-    (paths, n+1) forcing in place and returns it (one that is not C-ordered is
-    solved in a copy); y is never written.  Threads may share the read-only
-    instance, but scipy's ``dpttrs`` holds the GIL, so their solves do not overlap.
+    With A = I - dt/2 L and c = 2 + s eta it is the implicit midpoint rule
+    z' = A^{-1}(c z) - z, so on y (``scale`` is W^1/2's diagonal) it is
+    y' = S^{-1}(c y) - y with S = W^1/2 A W^-1/2, from ``robin_laplacian``'s bands.
+    S's LDL^T factors are computed once here, without pivoting or a test of
+    definiteness (A is indefinite for steep negative slopes); a zero pivot is an
+    error.  ``dpttrs`` solves the transposed (paths, n+1) c y in place in
+    ``factor`` and returns a view of it (one that is not C-ordered is solved in a
+    copy); y is never written.  Threads may share the read-only instance, but
+    scipy's ``dpttrs`` holds the GIL, so their solves do not overlap.
     """
 
     def __init__(self, laplacian: Tuple[np.ndarray, np.ndarray], dt: float):
@@ -153,9 +152,9 @@ class _TridiagonalStep:
             raise ValueError(f"I - dt/2 L is singular (zero pivot at node {d.index(0.0)})")
         self._ldl = np.array(d), np.array(e)
 
-    def __call__(self, y: np.ndarray, forcing: np.ndarray) -> np.ndarray:
-        forcing += y + y  # 2y exactly, without a scalar operand
-        x = dpttrs(*self._ldl, forcing.T, overwrite_b=True)[0].T
+    def __call__(self, y: np.ndarray, factor: np.ndarray) -> np.ndarray:
+        factor *= y
+        x = dpttrs(*self._ldl, factor.T, overwrite_b=True)[0].T
         x -= y
         return x
 
@@ -169,9 +168,9 @@ def simulate_she(z0: np.ndarray, params: BoundaryParams, cfg: SimConfig) -> SheR
 
     The ``RNG_CHUNK``-path chunks run in a pool of min(chunks, usable CPUs)
     threads; each writes only its own slices of the outputs.  A path is flagged
-    if a value is ever <= 0: a running ``fmin`` (which skips NaN, as ``<= 0``
-    does) keeps each value's minimum, read once per chunk.  A path that leaves
-    the float range is a RuntimeError naming overflow, (u, v) and dx.
+    if a value is ever <= 0: ``fmin`` over each block's rows, holding its states
+    (it skips NaN, as ``<= 0`` does), keeps each value's minimum, read once per chunk.
+    A path that leaves the float range is a RuntimeError naming overflow, (u, v) and dx.
     """
     n = cfg.n
     z_all = np.asarray(z0, dtype=float)
@@ -182,7 +181,7 @@ def simulate_she(z0: np.ndarray, params: BoundaryParams, cfg: SimConfig) -> SheR
     if not np.all(np.isfinite(z_all) & (z_all > 0)):
         raise ValueError("initial data must be finite and strictly positive")
     step = _TridiagonalStep(robin_laplacian(n, params.u, params.v), cfg.dt)
-    noise_scale = np.array(np.sqrt(cfg.dt / cfg.dx))  # 0-d: no scalar conversion per step
+    s = np.sqrt(cfg.dt / cfg.dx)
     saves = cfg.save_step_indices()
     snaps = {t: np.empty(z_all.shape) for t in saves.values()}
     lost = np.zeros(cfg.n_paths, dtype=bool)
@@ -203,13 +202,13 @@ def simulate_she(z0: np.ndarray, params: BoundaryParams, cfg: SimConfig) -> SheR
             for b, first in enumerate(range(1, cfg.n_steps + 1, n_block)):
                 noise = block[b % 2, : cfg.n_steps + 1 - first]
                 rng.standard_normal(out=noise)
-                for k, forcing in enumerate(noise, first):
-                    forcing *= y
-                    forcing *= noise_scale
-                    y = step(y, forcing)
-                    np.fmin(low, y, low)
+                noise *= s
+                noise += 2.0  # each row is a step's factor c = 2 + s eta
+                for k, factor in enumerate(noise, first):
+                    y = step(y, factor)
                     if k in saves:
                         np.divide(y, step.scale, out=snaps[saves[k]][start:stop])
+                np.fmin(low, np.fmin.reduce(noise, axis=0), out=low)
         # the step turns inf into NaN and keeps NaN, so the last state shows every overflow
         overflowed = ~np.isfinite(y).all(axis=1)
         if overflowed.any():

@@ -98,9 +98,10 @@ class TestConfig:
 
 
 class TestDeterministicLimit:
-    """The solver's step with zero forcing is the noise-free scheme of the oracle.
+    """The solver's step with factor 2 (zero noise) is the noise-free scheme of the oracle.
 
-    The step acts on y = W^1/2 z, with W^1/2's diagonal in ``step.scale``."""
+    The step acts on y = W^1/2 z, with W^1/2's diagonal in ``step.scale``, and
+    takes the factor c = 2 + s eta: y' = S^{-1}(c y) - y."""
 
     @staticmethod
     def _advance(z0, params, dx, t, n_paths):
@@ -108,7 +109,7 @@ class TestDeterministicLimit:
         step = shesolver._TridiagonalStep(robin_laplacian(grid_size(dx), params.u, params.v), dt)
         y = np.tile(z0, (n_paths, 1)) * step.scale
         for _ in range(time_steps(t, dt)):
-            y = step(y, np.zeros_like(y))  # the step overwrites its forcing
+            y = step(y, np.full_like(y, 2.0))  # the step overwrites its factor
         return y / step.scale
 
     def test_neumann_constant_invariant(self):
@@ -129,16 +130,16 @@ class TestDeterministicLimit:
         L = robin_laplacian(grid_size(dx), params.u, params.v)
         rng = np.random.default_rng(4)
         z = np.exp(rng.normal(size=(4, grid_size(dx) + 1)))
-        forcing = rng.normal(size=z.shape)
+        factor = 2.0 + rng.normal(size=z.shape)
         step = shesolver._TridiagonalStep(L, default_dt(dx))
         y = z * step.scale
-        got = step(y, forcing * step.scale)  # the step overwrites its forcing
-        # a forcing that is not C-ordered is solved in a copy, to the same bits
-        assert np.array_equal(step(y, np.asfortranarray(forcing * step.scale)), got)
+        got = step(y, factor.copy())  # the step overwrites its factor
+        # a factor that is not C-ordered is solved in a copy, to the same bits
+        assert np.array_equal(step(y, np.asfortranarray(factor)), got)
         got /= step.scale
         cn = CrankNicolson(L, default_dt(dx))
-        for row, zi, fi in zip(got, z, forcing):
-            want = cn.step_with_forcing(zi, fi)
+        for row, zi, ci in zip(got, z, factor):
+            want = cn.step_with_forcing(zi, (ci - 2.0) * zi)
             assert np.max(np.abs(row - want)) < 1e-13 * np.max(np.abs(want))
 
     def test_step_requires_the_forcing(self):
@@ -150,17 +151,26 @@ class TestDeterministicLimit:
                                           (1.0 / 64, 3.0, 3.0), (0.25, 0.5, -0.5),
                                           (0.125, -20.0, -20.0), (0.125, -60.0, -60.0)])
     def test_step_matches_a_dense_solve(self, dx, u, v):
-        # z' = A^{-1}(2z + forcing) - z with A = I - dt/2 L; at (-60, -60) and
+        # z' = A^{-1}(c z) - z with A = I - dt/2 L; at (-60, -60) and
         # dx = 1/8 A is indefinite, and its pivot-free LDL^T must still hold
         n, dt = grid_size(dx), default_dt(dx)
         A = np.eye(n + 1) - 0.5 * dt * dense_laplacian(n, u, v)
         rng = np.random.default_rng(8)
         z = np.exp(rng.normal(size=(6, n + 1)))
-        forcing = 0.3 * rng.normal(size=z.shape) * z
-        want = np.linalg.solve(A, (2 * z + forcing).T).T - z
+        c = 2.0 + 0.3 * rng.normal(size=z.shape)
+        want = np.linalg.solve(A, (c * z).T).T - z
         step = shesolver._TridiagonalStep(robin_laplacian(n, u, v), dt)
-        got = step(z * step.scale, forcing * step.scale) / step.scale
+        got = step(z * step.scale, c.copy()) / step.scale
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("shape", [(1, 33), (512, 65), (76, 9)])
+    def test_new_state_is_built_in_the_factor(self, shape):
+        # simulate_she reads each block's positivity off its rows, so the step
+        # must return a view of the row it is given, at every chunk shape
+        n = shape[1] - 1
+        step = shesolver._TridiagonalStep(robin_laplacian(n, 1.0, 0.0), default_dt(1.0 / n))
+        row = np.full(shape, 2.0)
+        assert np.shares_memory(step(np.ones(shape) * step.scale, row), row)
 
     def test_zero_pivot_is_singular(self):
         # A = I - dt/2 L with L's first diagonal entry 2/dt has A[0, 0] = 0
@@ -254,13 +264,14 @@ class TestPositivity:
         # the four steps is finite again: a NaN left standing is an overflow.
         steps = itertools.count()
 
-        def fake_step(self, z, forcing):
+        def fake_step(self, z, factor):
+            # like the real step, build the new state in the row it is given
             k = next(steps)
-            out = np.ones_like(z)
+            factor[...] = 1.0
             if k < 3:
-                out[0] = -1.0 if k == 0 else np.nan
-                out[1] = np.nan
-            return out
+                factor[0] = -1.0 if k == 0 else np.nan
+                factor[1] = np.nan
+            return factor
 
         monkeypatch.setattr(shesolver._TridiagonalStep, "__call__", fake_step)
         cfg = SimConfig(dx=1.0 / 8, t_final=4 * 0.5 / 8**2, n_paths=3)
@@ -325,7 +336,7 @@ def _multi_chunk():
 
 def _one_draw_per_step(z0, params, cfg):
     """The block code's reference: each chunk draws one step's noise at a time
-    and builds its forcing and new state out of place."""
+    and builds its factor and new state out of place."""
     step = shesolver._TridiagonalStep(robin_laplacian(cfg.n, params.u, params.v), cfg.dt)
     z_all = np.broadcast_to(z0, (cfg.n_paths, cfg.n + 1))
     saves = cfg.save_step_indices()
@@ -336,7 +347,7 @@ def _one_draw_per_step(z0, params, cfg):
         rng = streams.stream(cfg.seed, streams.SHE_NOISE, chunk)
         y = z_all[rows] * step.scale
         for k in range(1, cfg.n_steps + 1):
-            y = step(y, rng.standard_normal(y.shape) * y * np.sqrt(cfg.dt / cfg.dx))
+            y = step(y, 2.0 + rng.standard_normal(y.shape) * np.sqrt(cfg.dt / cfg.dx))
             lost[rows] |= (y <= 0).any(axis=1)
             if k in saves:
                 snaps[saves[k]][rows] = y / step.scale
@@ -355,8 +366,8 @@ class TestBlocks:
     # SHA-256 of the snapshots in time order and then the flags, as
     # _one_draw_per_step gave them (numpy 2.4, scipy 1.17, x86-64): block draws
     # and the in-place step must give every bit.
-    PINNED = {"single-path": "3f18fe0729fd6c344a81915fb5a9767a90d3c218b65983d9a0c234081deac24a",
-              "multi-chunk": "ab92ec9c30772a66771e744f66fff964bb93ead782b81be27d967bcb63a190ca"}
+    PINNED = {"single-path": "36da2272fea3d6fe04fe3bc75805d8c38015fb270509ed41d73ee8ae14472172",
+              "multi-chunk": "966a34805e874ec6419cf3dc8ed014f2e9b884e7e2c66378fa908f23fd1eaed9"}
     RUNS = pytest.mark.parametrize("name, run", [("single-path", _single_path),
                                                  ("multi-chunk", _multi_chunk)])
 

@@ -26,13 +26,13 @@ def test_every_seed_consumer_and_index_has_its_own_stream():
 
 
 def _she_first_step_normals(seed, dx, monkeypatch):
-    """The normals of the SHE's first step on one path from Z = 1, read off its forcing."""
+    """The normals of the SHE's first step on one path from Z = 1, read off its factor."""
     captured = []
     step = shesolver._TridiagonalStep.__call__
 
-    def recording(self, y, forcing):
-        captured.append(forcing / (y * np.sqrt(0.5 * dx)))  # forcing = eta y sqrt(dt/dx)
-        return step(self, y, forcing)
+    def recording(self, y, factor):
+        captured.append((factor - 2.0) / np.sqrt(0.5 * dx))  # factor = 2 + eta sqrt(dt/dx)
+        return step(self, y, factor)
 
     monkeypatch.setattr(shesolver._TridiagonalStep, "__call__", recording)
     cfg = SimConfig(dx=dx, t_final=0.5 * dx * dx, n_paths=1, seed=seed)
@@ -47,6 +47,9 @@ def test_she_noise_is_not_the_drifted_brownian_sampler(seed, monkeypatch):
     # harness starts the SHE from sample_bm_drift: their normals must differ
     u, dx = 0.5, 1.0 / 32
     eta = _she_first_step_normals(seed, dx, monkeypatch)
+    # the positive control: eta is read right, so a mismatch below is a real one
+    own = streams.stream(seed, streams.SHE_NOISE, 0).standard_normal(len(eta))
+    assert np.max(np.abs(eta - own)) < 1e-12
     for other in (seed - 1, seed, seed + 1):
         if other < 0:
             continue
