@@ -27,7 +27,10 @@ def grid_size(dx: float) -> int:
 def default_dt(dx: float) -> float:
     """The stability bound dx^2/2 of a valid grid, used as the default time step."""
     grid_size(dx)
-    return 0.5 * dx**2
+    dt = 0.5 * dx**2
+    if dt == 0.0:
+        raise ValueError(f"dx is too small: dt = dx^2/2 underflows to 0 (dx={dx})")
+    return dt
 
 
 def check_time(t) -> None:

@@ -96,9 +96,11 @@ def stationarity_experiment(
     """KS-compare anchored marginals of a stationary start at times 0 and T.
 
     The time-0 reference is the first half of 2 n_samples stationary draws and
-    the evolved start the second: independent at u + v = 0 (iid rows), two
-    stretches of one chain under pCN.  ``wrong_laws`` maps labels to further
-    reference ensembles: the one evolved ensemble is KS-tested against each.
+    the evolved start the second: iid rows at u + v = 0, as at the CLI default
+    (1/2, -1/2); at u + v > 0 two thinned stretches of one pCN chain, whose kept
+    states have lag-1 autocorrelation 0.12-0.25 at McmcConfig's defaults, so the
+    asymptotic KS p-values are only approximate there.  ``wrong_laws`` maps
+    labels to further reference ensembles: the evolved one is KS-tested against each.
     Returns one report per reference, the fresh reference's first.  A
     deliberately wrong reference law is a control that must fail at any
     horizon: the dynamics relax wrong starts, never wrong references.

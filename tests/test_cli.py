@@ -4,10 +4,15 @@ import csv
 import inspect
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import openkpz
 from openkpz import cli
 from openkpz.cli import main
 
@@ -213,6 +218,12 @@ class TestConstantA:
         assert payload["config"]["seed"] == 0
         assert payload["mollifier"]["time_radius"] == 1.0
 
+    def test_default_value_pinned(self, tmp_path):
+        # radii 1 and 256 cells: the value test_kernels.py pins for constant_a
+        assert run(["--out-dir", tmp_path, "constant-a"]) == 0
+        payload = json.loads((tmp_path / "constant_a.json").read_text())
+        assert payload["value"] == -0.02742750513832859
+
 
 class TestSimulate:
     def test_dt_is_an_unknown_flag_exit_2(self, tmp_path, capsys):
@@ -372,6 +383,10 @@ class TestDegenerateInput:
         (["sample-stationary", "--dx", 0], "dx must be positive and finite (dx=0.0)"),
         (["experiment", "coupling", "--dx", 0], "dx must be positive and finite (dx=0.0)"),
         (["experiment", "ergodic", "--dx", -0.25], "dx must be positive and finite (dx=-0.25)"),
+        (["simulate", "--dx", 1e-300], "dt = dx^2/2 underflows to 0 (dx=1e-300)"),
+        (["experiment", "stationarity", "--dx", 1e-300],
+         "dt = dx^2/2 underflows to 0 (dx=1e-300)"),
+        (["experiment", "ergodic", "--dx", 1e-300], "dt = dx^2/2 underflows to 0 (dx=1e-300)"),
         (["kernel", "--kind", "robin", "--grid", 0], "(n=0)"),
         (["constant-a", "--cells", 0], "(n=0)"),
         (["sample-stationary", "--u", 0.5, "--v", -0.5, "--n-samples", 0], "n_samples = 0"),
@@ -429,8 +444,10 @@ class TestDegenerateInput:
          "--kind 'cauchy'; choose from ('neumann', 'robin', 'gauss')"),
         (["--seed", "x", "kernel"], "--seed 'x' is not an integer"),
     ], ids=["simulate-dx-0", "simulate-dx-negative", "sample-stationary-dx-0",
-            "coupling-dx-0", "ergodic-dx-negative", "robin-grid-0", "constant-a-cells-0",
-            "bm-drift-n-samples-0", "robin-u-nan", "simulate-u-nan", "coupling-u-nan",
+            "coupling-dx-0", "ergodic-dx-negative", "simulate-dt-underflows",
+            "stationarity-dt-underflows", "ergodic-dt-underflows", "robin-grid-0",
+            "constant-a-cells-0", "bm-drift-n-samples-0", "robin-u-nan", "simulate-u-nan",
+            "coupling-u-nan",
             "neumann-grid-0", "gauss-grid-negative", "neumann-grid-negative",
             "simulate-t-final-negative", "simulate-t-final-0", "simulate-t-final-inf",
             "simulate-save-time-negative", "simulate-save-time-past-t-final",
@@ -808,3 +825,35 @@ class TestExperiment:
         assert code == 2
         assert "16 samples" in capsys.readouterr().err
         assert not (tmp_path / "experiment_ergodic.json").exists()
+
+
+class TestFreshInterpreters:
+    """Criterion 12 across processes: two interpreters with different string-hash
+    seeds print and write the same bytes for one command and one seed."""
+
+    @pytest.mark.parametrize("argv, artifacts", [
+        (["simulate", "--paths", 4, "--dx", 0.125, "--t-final", 0.0625], {"simulate.csv"}),
+        (["verify-algebra"], set()),
+        # 1024 steps, so the path crosses noise blocks
+        (["experiment", "coupling", "--dx", 0.125, "--t-final", 8],
+         {"experiment_coupling.json", "experiment_coupling.csv"}),
+        (["sample-stationary", "--u", 1, "--v", 1, "--dx", 0.0625, "--n-samples", 20,
+          "--burn-in", 20, "--thinning", 2, "--normalization-samples", 100],
+         {"stationary_samples.csv", "stationary_meta.json"}),
+    ], ids=["simulate", "verify-algebra", "coupling", "pcn"])
+    def test_same_bytes_under_two_hash_seeds(self, tmp_path, argv, artifacts):
+        package_root = str(Path(openkpz.__file__).parent.parent)
+        runs = []
+        for hash_seed in ("1", "2"):
+            cwd = tmp_path / hash_seed
+            cwd.mkdir()
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": os.pathsep.join(
+                filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+            done = subprocess.run(
+                [sys.executable, "-m", "openkpz.cli", "--seed", "3", "--out-dir", "out",
+                 *map(str, argv)], cwd=cwd, env=env, capture_output=True, timeout=120)
+            assert done.returncode == 0, done.stderr.decode()
+            written = {p.name: p.read_bytes() for p in (cwd / "out").glob("*")}
+            assert set(written) == artifacts and done.stdout
+            runs.append((done.stdout, written))
+        assert runs[0] == runs[1]

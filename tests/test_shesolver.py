@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import os
 import re
 from dataclasses import fields, replace
 
@@ -296,6 +297,14 @@ class TestPositivity:
 
 
 class TestThreads:
+    def test_cpu_count_where_affinity_is_unavailable(self, monkeypatch):
+        # macOS has no os.sched_getaffinity, and os.cpu_count may return None
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert shesolver._usable_cpus() == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert shesolver._usable_cpus() == 3
+
     def test_bit_identical_for_any_thread_count(self, monkeypatch):
         # 1100 paths make three RNG chunks, so 1, 2 and 3 threads each split
         # them differently.  On the coarse dx = 1/4 grid some paths of every
