@@ -6,7 +6,8 @@ the image sum; the Robin kernel is computed as a discrete semigroup:
 Rannacher-started Crank-Nicolson with centered ghost points, evaluated in
 closed form from one eigendecomposition of the Laplacian symmetrised by the
 ghost points' end weights W, so m steps cost one diagonal power and not m
-solves; only the reference step, factored when called, solves by sparse LU.
+solves.  ``CrankNicolson.step``/``step_with_forcing`` (a sparse LU) and ``splu`` stay only
+because the benchmark's ``perfbench/layers.py`` and ``test_bench_tracing.py`` wrap them.
 The constant `a` is a quadrature of the mollifier autocorrelation, in closed
 form as an exact polynomial, against a bracket of erf and the whole-line kernel.
 """
@@ -89,11 +90,15 @@ def robin_laplacian(n: int, u: float, v: float) -> Tuple[np.ndarray, np.ndarray]
     dx = 1.0 / n
     main = np.full(n + 1, -2.0)
     upper = np.ones(n)
-    main[0] -= 2.0 * dx * (u - 0.5)
-    main[-1] -= 2.0 * dx * (v - 0.5)
     upper[0] = 2.0
     scale = np.sqrt(end_weights(n))
-    return (0.5 / dx**2) * main, (0.5 / dx**2) * upper * scale[:-1] / scale[1:]
+    with np.errstate(over="ignore"):
+        main[0] -= 2.0 * dx * (u - 0.5)
+        main[-1] -= 2.0 * dx * (v - 0.5)
+        diagonal = (0.5 / dx**2) * main
+    if not np.isfinite(diagonal).all():
+        raise ValueError(f"the Robin Laplacian overflows (u={u}, v={v}, n={n})")
+    return diagonal, (0.5 / dx**2) * upper * scale[:-1] / scale[1:]
 
 
 def end_weights(n: int) -> np.ndarray:
@@ -113,7 +118,8 @@ class CrankNicolson:
     ``laplacian`` is ``robin_laplacian``'s bands of S = W^1/2 L W^-1/2, whose eigendecomposition
     Q diag(lam) Q^T is computed once here.  m steps are then one diagonal power,
     W^-1/2 Q diag(r^m) Q^T W^1/2 with r = (1 + dt/2 lam) / (1 - dt/2 lam).
-    ``step`` and ``step_with_forcing`` are the reference step, factored when called.
+    ``step`` and ``step_with_forcing``, a sparse-LU step factored when called, are
+    read only by the benchmark, which wraps them by name (see the module docstring).
     """
 
     def __init__(self, laplacian: Tuple[np.ndarray, np.ndarray], dt: float):

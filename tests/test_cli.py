@@ -383,10 +383,19 @@ class TestDegenerateInput:
         (["sample-stationary", "--dx", 0], "dx must be positive and finite (dx=0.0)"),
         (["experiment", "coupling", "--dx", 0], "dx must be positive and finite (dx=0.0)"),
         (["experiment", "ergodic", "--dx", -0.25], "dx must be positive and finite (dx=-0.25)"),
-        (["simulate", "--dx", 1e-300], "dt = dx^2/2 underflows to 0 (dx=1e-300)"),
+        (["simulate", "--dx", 1e-300], "1/dx = 1e+300 cells > 65536 (dx=1e-300)"),
         (["experiment", "stationarity", "--dx", 1e-300],
-         "dt = dx^2/2 underflows to 0 (dx=1e-300)"),
-        (["experiment", "ergodic", "--dx", 1e-300], "dt = dx^2/2 underflows to 0 (dx=1e-300)"),
+         "1/dx = 1e+300 cells > 65536 (dx=1e-300)"),
+        (["experiment", "ergodic", "--dx", 1e-300], "1/dx = 1e+300 cells > 65536 (dx=1e-300)"),
+        (["experiment", "coupling", "--dx", 1e-300], "1/dx = 1e+300 cells > 65536 (dx=1e-300)"),
+        (["sample-stationary", "--dx", 1e-300], "1/dx = 1e+300 cells > 65536 (dx=1e-300)"),
+        (["sample-stationary", "--u", 0.5, "--v", -0.5, "--dx", 1e-300],
+         "1/dx = 1e+300 cells > 65536 (dx=1e-300)"),
+        (["simulate", "--dx", 5e-324], "1/dx = inf cells > 65536 (dx=5e-324)"),
+        (["kernel", "--kind", "robin", "--u", 1e308, "--v", 1e308, "--grid", 4],
+         "the Robin Laplacian overflows (u=1e+308, v=1e+308, n=4)"),
+        (["simulate", "--u", 1e308, "--v", 1e308, "--dx", 0.25, "--t-final", 0.03125,
+          "--paths", 2], "the Robin Laplacian overflows (u=1e+308, v=1e+308, n=4)"),
         (["kernel", "--kind", "robin", "--grid", 0], "(n=0)"),
         (["constant-a", "--cells", 0], "(n=0)"),
         (["sample-stationary", "--u", 0.5, "--v", -0.5, "--n-samples", 0], "n_samples = 0"),
@@ -445,7 +454,9 @@ class TestDegenerateInput:
         (["--seed", "x", "kernel"], "--seed 'x' is not an integer"),
     ], ids=["simulate-dx-0", "simulate-dx-negative", "sample-stationary-dx-0",
             "coupling-dx-0", "ergodic-dx-negative", "simulate-dt-underflows",
-            "stationarity-dt-underflows", "ergodic-dt-underflows", "robin-grid-0",
+            "stationarity-dt-underflows", "ergodic-dt-underflows", "coupling-dx-too-small",
+            "pcn-dx-too-small", "bm-drift-dx-too-small", "simulate-dx-subnormal",
+            "robin-laplacian-overflows", "simulate-laplacian-overflows", "robin-grid-0",
             "constant-a-cells-0", "bm-drift-n-samples-0", "robin-u-nan", "simulate-u-nan",
             "coupling-u-nan",
             "neumann-grid-0", "gauss-grid-negative", "neumann-grid-negative",

@@ -1,5 +1,7 @@
 """Unit tests for heat kernels and the boundary-constant quadrature."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,14 @@ class TestRobin:
         with pytest.raises(ValueError, match=rf"slopes must be finite \(u={u}, v={v}\)"):
             kernels.robin_laplacian(4, u, v)
 
+    @pytest.mark.parametrize("u, v", [(1e308, 1e308), (0.5, -1e308)])
+    def test_overflowing_laplacian_rejected(self, u, v):
+        # finite slopes, but an end of the diagonal (1/2 dx^2)(-2 - 2 dx (u - 1/2)) is not;
+        # not an overflow warning: the suite turns warnings into errors
+        with pytest.raises(ValueError, match=re.escape(
+                f"the Robin Laplacian overflows (u={u}, v={v}, n=4)")):
+            kernels.robin_laplacian(4, u, v)
+
 
 class TestMollifier:
     def test_unit_mass(self):
@@ -311,10 +321,11 @@ class TestPropagators:
         assert np.all(np.isfinite(prop.advance(np.ones(17), 40)))
         assert np.all(np.isfinite(kernels.robin_kernel(0.1, 1.0, 0.0, 16)))
 
-    # The closed form against the sparse-LU step it replaces in ``advance``: the
-    # reference is m calls of ``step``, Rannacher's first two each replaced by
-    # two implicit half-steps solved with the dense I - dt/2 L.  At (-60, -60)
-    # and dx = 1/8 the CN matrix I - dt/2 L is indefinite and some modes grow.
+    # The closed form against m dense solves with L from ``dense_laplacian``: a CN
+    # step solves (I - dt/2 L) z' = (I + dt/2 L) z, and Rannacher's first two are
+    # each two implicit half-steps with I - dt/2 L.  At (-60, -60) and dx = 1/8
+    # I - dt/2 L is indefinite and some modes grow.  No test calls ``step``: it and
+    # ``splu`` remain only because the benchmark wraps them by name.
     @pytest.mark.parametrize("columns", [(), (3,)], ids=["vector", "matrix"])
     @pytest.mark.parametrize("n_steps", [0, 1, 2, 3, 40])
     @pytest.mark.parametrize("u, v, n", [(0.5, 0.5, 32), (1.0, 0.0, 32), (-0.5, 2.0, 32),
@@ -322,13 +333,14 @@ class TestPropagators:
     @pytest.mark.parametrize("propagator", [kernels.CrankNicolson, kernels.RannacherPropagator])
     def test_closed_form_matches_steps(self, propagator, u, v, n, n_steps, columns):
         prop = propagator(kernels.robin_laplacian(n, u, v), 0.5 / n**2)
-        implicit = np.eye(n + 1) - 0.5 * prop.dt * dense_laplacian(n, u, v)
+        half = 0.5 * prop.dt * dense_laplacian(n, u, v)
+        implicit, explicit = np.eye(n + 1) - half, np.eye(n + 1) + half
         want = z = np.random.default_rng(n).normal(size=(n + 1, *columns))
         for k in range(n_steps):
             if propagator is kernels.RannacherPropagator and k < kernels.RANNACHER_STEPS:
                 want = np.linalg.solve(implicit, np.linalg.solve(implicit, want))
             else:
-                want = prop.step(want)
+                want = np.linalg.solve(implicit, explicit @ want)
         got = prop.advance(z, n_steps)
         assert got.shape == z.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

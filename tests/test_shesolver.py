@@ -12,7 +12,7 @@ import pytest
 from dense_laplacian import dense_laplacian
 from openkpz import shesolver, streams
 from openkpz.grid import MAX_STEPS, default_dt, grid_size, snap_time, time_steps
-from openkpz.kernels import CrankNicolson, robin_laplacian
+from openkpz.kernels import robin_laplacian
 from openkpz.shesolver import BoundaryParams, SimConfig, simulate_she
 
 
@@ -66,6 +66,15 @@ class TestConfig:
     def test_grid_rejects_dx_that_is_not_positive_and_finite(self, dx):
         with pytest.raises(ValueError, match=rf"positive and finite \(dx={dx}\)"):
             grid_size(dx)
+
+    @pytest.mark.parametrize("dx, cells", [(1e-9, "1e+09"), (1e-300, "1e+300"),
+                                           (5e-324, "inf")])
+    def test_grid_of_more_than_2_16_cells_rejected(self, dx, cells):
+        # checked before any caller allocates n columns; 1/5e-324 overflows to inf
+        with pytest.raises(ValueError, match=re.escape(
+                f"dx is too small: 1/dx = {cells} cells > 65536 (dx={dx})")):
+            grid_size(dx)
+        assert grid_size(2.0**-16) == 2**16
 
     def test_step_count_is_bounded(self):
         # the longest run of the tests, criteria and benchmark: single-path's ergodic run
@@ -126,23 +135,6 @@ class TestDeterministicLimit:
         oracle = shesolver.robin_semigroup_apply(z0, params, 1.0 / 64, 0.25)
         assert np.max(np.abs(z - oracle)) < 1e-12
 
-    def test_forced_step_matches_reference_propagator(self):
-        dx, params = 1.0 / 32, BoundaryParams(-0.5, 2.0)
-        L = robin_laplacian(grid_size(dx), params.u, params.v)
-        rng = np.random.default_rng(4)
-        z = np.exp(rng.normal(size=(4, grid_size(dx) + 1)))
-        factor = 2.0 + rng.normal(size=z.shape)
-        step = shesolver._TridiagonalStep(L, default_dt(dx))
-        y = z * step.scale
-        got = step(y, factor.copy())  # the step overwrites its factor
-        # a factor that is not C-ordered is solved in a copy, to the same bits
-        assert np.array_equal(step(y, np.asfortranarray(factor)), got)
-        got /= step.scale
-        cn = CrankNicolson(L, default_dt(dx))
-        for row, zi, ci in zip(got, z, factor):
-            want = cn.step_with_forcing(zi, (ci - 2.0) * zi)
-            assert np.max(np.abs(row - want)) < 1e-13 * np.max(np.abs(want))
-
     def test_step_requires_the_forcing(self):
         step = shesolver._TridiagonalStep(robin_laplacian(4, 0.5, 0.5), default_dt(0.25))
         with pytest.raises(TypeError):
@@ -161,7 +153,11 @@ class TestDeterministicLimit:
         c = 2.0 + 0.3 * rng.normal(size=z.shape)
         want = np.linalg.solve(A, (c * z).T).T - z
         step = shesolver._TridiagonalStep(robin_laplacian(n, u, v), dt)
-        got = step(z * step.scale, c.copy()) / step.scale
+        y = z * step.scale
+        got = step(y, c.copy())  # the step overwrites its factor
+        # a factor that is not C-ordered is solved in a copy, to the same bits
+        assert np.array_equal(step(y, np.asfortranarray(c)), got)
+        got /= step.scale
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("shape", [(1, 33), (512, 65), (76, 9)])
